@@ -16,14 +16,25 @@
 //!   invariant *everything within radius `y_i` is settled* always holds;
 //!   exploration state is never undone, even when duals later shrink —
 //!   claims are facts about the graph, not about the matching.
-//! * **A global event queue.**  One binary heap over virtual time orders
-//!   the next-tight events: *settle* (a region's Dijkstra frontier becomes
-//!   reachable, possibly discovering new candidate edges), *edge-tight* (a
-//!   discovered defect–defect candidate's slack hits zero), *boundary-hit*
-//!   (a defect's cheapest boundary attachment becomes tight), and
-//!   *shrink-to-zero* (an inner blossom's dual reaches zero and the blossom
-//!   must expand).  Events are validated lazily on pop — state changes
-//!   simply re-push whatever they invalidate.
+//! * **A global event queue.**  One indexed min-heap over virtual time
+//!   orders the next-tight events: *settle* (a region's Dijkstra frontier
+//!   becomes reachable, possibly discovering new candidate edges),
+//!   *edge-tight* (a discovered defect–defect candidate's slack hits zero),
+//!   *boundary-hit* (a defect's cheapest boundary attachment becomes
+//!   tight), and *shrink-to-zero* (an inner blossom's dual reaches zero and
+//!   the blossom must expand).  Each source — a region, a candidate, a
+//!   blossom — holds at most one live entry: re-scheduling a source
+//!   re-keys its entry in place, so the heap never fills with superseded
+//!   copies.  An entry can still go stale when a state change *delays* its
+//!   event without re-scheduling it (a rate drop parks it), so every pop
+//!   re-costs the event against the current duals before acting on it.
+//! * **Wake only on a rate change.**  An event time moves earlier only when
+//!   some endpoint's growth rate rises, so a structural change re-schedules
+//!   the defects of exactly the nodes whose rate changed: the inner
+//!   children of a new blossom (−1 → +1), the children of an expanded
+//!   blossom that leave the inner state, the nodes a tree grabs, and the
+//!   members of a dismantled tree.  Children that keep their rate keep
+//!   their scheduled (or parked) events untouched.
 //! * **Candidate edges are exact when it matters.**  A meet between regions
 //!   `i` and `j` yields the candidate cost `d_i(u) + w(u,v) + d_j(v)`.
 //!   Because `y_i ≤ (settled radius of i)` at all times, the moment
@@ -46,6 +57,10 @@
 //! Zero-weight pre-pairing (a Q3DE anomaly at `p = 0.5`) is shared with the
 //! blossom backend: defects in one zero-weight component pair for free and
 //! only the residual parity enters the tree machinery.
+//!
+//! The backend keeps cumulative event and blossom counts
+//! ([`AltTreeBackend::counters`]); they are plain integer bumps on paths
+//! that already do far more work, so they are always on.
 //!
 //! All scratch — region arrays, the event queue, claim lists, the blossom
 //! stack, parent pointers — persists across calls per the
@@ -119,28 +134,160 @@ enum EventKind {
     BoundaryHit,
 }
 
-/// One scheduled event at absolute virtual time `t`.  Ordering is
-/// `(t, kind, id)` so pops are deterministic under ties.
+/// Number of [`EventKind`]s.
+const KINDS: usize = 4;
+
+/// One scheduled event at absolute virtual time `t`, from source
+/// `(kind, id)`: a region (settle, boundary-hit), a candidate edge
+/// (edge-tight) or a blossom node (shrink-to-zero).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Event {
     t: f64,
     kind: EventKind,
     id: u32,
 }
-impl Eq for Event {}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // reversed for the max-heap
-        other
-            .t
-            .total_cmp(&self.t)
-            .then_with(|| other.kind.cmp(&self.kind))
-            .then_with(|| other.id.cmp(&self.id))
+
+impl Event {
+    /// Pop order: `(t, kind, id)`, so pops are deterministic under ties.
+    /// Times are finite, so plain float comparison is a total order here.
+    #[inline]
+    fn before(&self, other: &Self) -> bool {
+        let tie = |e: &Self| (e.kind as u64) << 32 | e.id as u64;
+        self.t < other.t || (self.t == other.t && tie(self) < tie(other))
+    }
+
+    /// Index of the event's source in the queue's position table.
+    #[inline]
+    fn source(&self) -> usize {
+        self.id as usize * KINDS + self.kind as usize
     }
 }
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+/// An indexed binary min-heap of [`Event`]s holding at most one live entry
+/// per `(kind, id)` source.  Scheduling a source that already has an entry
+/// re-keys that entry in place instead of adding a second one.
+#[derive(Debug, Clone, Default)]
+struct EventQueue {
+    heap: Vec<Event>,
+    /// Heap slot of each source's live entry (see [`Event::source`]), or
+    /// `NONE`.
+    pos: Vec<u32>,
+}
+
+impl EventQueue {
+    /// Number of live entries.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Schedules source `(kind, id)` at finite time `t`: inserts it, or
+    /// moves its live entry to `t` (nothing to do when `t` is unchanged).
+    fn push(&mut self, t: f64, kind: EventKind, id: u32) {
+        debug_assert!(t.is_finite());
+        let e = Event { t, kind, id };
+        let src = e.source();
+        if src >= self.pos.len() {
+            self.pos.resize(src + 1, NONE);
+        }
+        let slot = self.pos[src];
+        if slot == NONE {
+            self.heap.push(e);
+            self.sift_up(self.heap.len() - 1);
+            return;
+        }
+        let slot = slot as usize;
+        let old = self.heap[slot].t;
+        if t == old {
+            return;
+        }
+        self.heap[slot].t = t;
+        if t < old {
+            self.sift_up(slot);
+        } else {
+            self.sift_down(slot);
+        }
+    }
+
+    /// Removes and returns the first event in `(t, kind, id)` order.
+    fn pop(&mut self) -> Option<Event> {
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            self.pos[last.source()] = NONE;
+            return Some(last);
+        };
+        self.pos[top.source()] = NONE;
+        // Walk the hole at the root down to a leaf along the earlier child
+        // (one comparison per level), then refill it with the last entry.
+        let n = self.heap.len();
+        let mut i = 0;
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let child = if left + 1 < n && self.heap[left + 1].before(&self.heap[left]) {
+                left + 1
+            } else {
+                left
+            };
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.heap[i] = last;
+        self.sift_up(i);
+        Some(top)
+    }
+
+    /// Drops every live entry, resetting only the positions they held.
+    fn clear(&mut self) {
+        for e in &self.heap {
+            self.pos[e.source()] = NONE;
+        }
+        self.heap.clear();
+    }
+
+    /// Writes `e` into heap slot `i` and records the slot.
+    #[inline]
+    fn place(&mut self, i: usize, e: Event) {
+        self.heap[i] = e;
+        self.pos[e.source()] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !e.before(&self.heap[parent]) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, e);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.heap[right].before(&self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            if !self.heap[child].before(&e) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, e);
     }
 }
 
@@ -235,7 +382,7 @@ pub struct AltTreeBackend {
     free_trees: Vec<u32>,
 
     // -- the event queue ------------------------------------------------------
-    events: BinaryHeap<Event>,
+    events: EventQueue,
 
     // -- bookkeeping ----------------------------------------------------------
     /// LCA walk stamps.
@@ -245,14 +392,48 @@ pub struct AltTreeBackend {
     unmatched: usize,
     /// Zero-weight contraction union-find over graph vertices.
     zero_parent: Vec<u32>,
-    /// Scratch for defect enumeration walks.
+    /// `(zero-weight component root, defect index)` keys of the pre-pairing.
+    zero_keys: Vec<(u32, u32)>,
+    /// Caller-facing defect index of each residual region.
+    residual: Vec<usize>,
+    /// Graph vertex of each residual region.
+    vertices: Vec<usize>,
+    /// Defects found by the last [`Self::collect_defects`] walk.
     walk: Vec<u32>,
+    /// Node stack of the blossom-nesting walks.
+    stack: Vec<u32>,
+    /// One tree path's nodes and edges while a blossom cycle is assembled.
+    path_nodes: Vec<u32>,
+    path_edges: Vec<u32>,
+    /// Children of a new blossom whose rate flipped from inner to outer.
+    flipped: Vec<u32>,
+    /// Cumulative counts over every call (see [`Self::counters`]).
+    counters: AltTreeCounters,
+}
+
+/// Cumulative work counts of an [`AltTreeBackend`] over every
+/// `decode_defects` call since it was constructed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AltTreeCounters {
+    /// Events taken off the queue, including those found stale on pop.
+    pub events_popped: u64,
+    /// Popped events that were still due and were carried out.
+    pub events_acted: u64,
+    /// Blossoms contracted from an odd cycle of tight edges.
+    pub blossoms_formed: u64,
+    /// Inner blossoms dissolved when their dual reached zero.
+    pub blossoms_expanded: u64,
 }
 
 impl AltTreeBackend {
     /// Creates the backend with cold scratch buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Cumulative event and blossom counts over every call so far.
+    pub fn counters(&self) -> AltTreeCounters {
+        self.counters
     }
 
     // -- dual accessors -------------------------------------------------------
@@ -303,39 +484,36 @@ impl AltTreeBackend {
         self.z_at[b as usize] = self.now;
     }
 
-    /// Appends every concrete defect contained in node `x` to `out`.
-    fn collect_defects(&self, x: u32, out: &mut Vec<u32>) {
-        let mut stack = vec![x];
-        while let Some(x) = stack.pop() {
+    /// Replaces `self.walk` with every concrete defect contained in node `x`.
+    fn collect_defects(&mut self, x: u32) {
+        self.walk.clear();
+        self.stack.clear();
+        self.stack.push(x);
+        while let Some(x) = self.stack.pop() {
             if (x as usize) < self.k {
-                out.push(x);
+                self.walk.push(x);
             } else {
-                stack.extend_from_slice(&self.flower[x as usize]);
+                self.stack.extend_from_slice(&self.flower[x as usize]);
             }
         }
     }
 
     /// Freezes the duals of every defect in node `x` (before a state flip).
     fn freeze_node(&mut self, x: u32) {
-        let mut walk = std::mem::take(&mut self.walk);
-        walk.clear();
-        self.collect_defects(x, &mut walk);
-        for &d in &walk {
-            self.freeze_y(d);
+        self.collect_defects(x);
+        for i in 0..self.walk.len() {
+            self.freeze_y(self.walk[i]);
         }
-        self.walk = walk;
     }
 
     // -- event scheduling -----------------------------------------------------
 
+    /// Schedules source `(kind, id)` at `t` (clamped to now), replacing its
+    /// live entry if it has one.
     #[inline]
     fn push_event(&mut self, t: f64, kind: EventKind, id: u32) {
         if t.is_finite() {
-            self.events.push(Event {
-                t: t.max(self.now),
-                kind,
-                id,
-            });
+            self.events.push(t.max(self.now), kind, id);
         }
     }
 
@@ -402,17 +580,15 @@ impl AltTreeBackend {
         }
     }
 
-    /// Freezes duals, stamps the new rate epoch, and wakes every defect of
-    /// node `x` — the one call every structural state change funnels
-    /// through.
+    /// Wakes every defect of node `x` after a state change that changed its
+    /// growth rate — the one call every such change funnels through.  Nodes
+    /// whose rate did not change are never refreshed: none of their event
+    /// times can have moved earlier.
     fn refresh_node(&mut self, x: u32) {
-        let mut walk = std::mem::take(&mut self.walk);
-        walk.clear();
-        self.collect_defects(x, &mut walk);
-        for &d in &walk {
-            self.wake(d);
+        self.collect_defects(x);
+        for i in 0..self.walk.len() {
+            self.wake(self.walk[i]);
         }
-        self.walk = walk;
     }
 
     // -- candidate discovery --------------------------------------------------
@@ -556,11 +732,12 @@ impl AltTreeBackend {
 
     /// Points every id inside node `x` at outermost container `b`.
     fn set_st(&mut self, x: u32, b: u32) {
-        let mut stack = vec![x];
-        while let Some(x) = stack.pop() {
+        self.stack.clear();
+        self.stack.push(x);
+        while let Some(x) = self.stack.pop() {
             self.st[x as usize] = b;
             if (x as usize) >= self.k {
-                stack.extend_from_slice(&self.flower[x as usize]);
+                self.stack.extend_from_slice(&self.flower[x as usize]);
             }
         }
     }
@@ -732,26 +909,36 @@ impl AltTreeBackend {
         let x = self.st[c.a as usize];
         let y = self.st[c.b as usize];
         let lca = self.get_lca(x, y);
-        let (mut nx, mut ex) = (Vec::new(), Vec::new());
-        let (mut ny, mut ey) = (Vec::new(), Vec::new());
-        self.tree_path(x, lca, &mut nx, &mut ex);
-        self.tree_path(y, lca, &mut ny, &mut ey);
+        let b = self.alloc_blossom();
         // Cycle: lca, x-path reversed (so it descends from lca to x), the
-        // triggering edge, then the y-path ascending back to lca.
-        let mut fl = Vec::with_capacity(1 + nx.len() + ny.len());
+        // triggering edge, then the y-path ascending back to lca — built in
+        // the (possibly recycled) slot's own buffers.
+        let mut fl = std::mem::take(&mut self.flower[b as usize]);
+        let mut fe = std::mem::take(&mut self.flower_edges[b as usize]);
+        let mut nodes = std::mem::take(&mut self.path_nodes);
+        let mut edges = std::mem::take(&mut self.path_edges);
         fl.push(lca);
-        fl.extend(nx.iter().rev().copied());
-        fl.extend(ny.iter().copied());
-        let mut fe = Vec::with_capacity(fl.len());
-        fe.extend(ex.iter().rev().copied());
+        self.tree_path(x, lca, &mut nodes, &mut edges);
+        fl.extend(nodes.iter().rev());
+        fe.extend(edges.iter().rev());
         fe.push(cid);
-        fe.extend(ey.iter().copied());
+        self.tree_path(y, lca, &mut nodes, &mut edges);
+        fl.extend_from_slice(&nodes);
+        fe.extend_from_slice(&edges);
+        self.path_nodes = nodes;
+        self.path_edges = edges;
         debug_assert_eq!(fe.len(), fl.len());
         debug_assert_eq!(fl.len() % 2, 1, "blossom cycles are odd");
-        let b = self.alloc_blossom();
         let tag = self.tree_tag[lca as usize];
-        // Freeze member duals under their *old* rates before any flips.
+        // Freeze member duals under their *old* rates before any flips, and
+        // note the inner children: only their rate changes (−1 → +1), the
+        // outer ones keep growing at +1.
+        let mut flipped = std::mem::take(&mut self.flipped);
+        flipped.clear();
         for &ch in &fl {
+            if self.state[ch as usize] == 1 {
+                flipped.push(ch);
+            }
             self.freeze_node(ch);
             if ch as usize >= self.k {
                 self.freeze_z(ch);
@@ -776,7 +963,11 @@ impl AltTreeBackend {
         self.flower[b as usize] = fl;
         self.flower_edges[b as usize] = fe;
         self.set_st(b, b);
-        self.refresh_node(b);
+        for &ch in &flipped {
+            self.refresh_node(ch);
+        }
+        self.flipped = flipped;
+        self.counters.blossoms_formed += 1;
     }
 
     /// Dissolves inner blossom `b` (dual at zero): the even path from the
@@ -848,9 +1039,15 @@ impl AltTreeBackend {
         self.pa[bi] = NONE;
         self.pa_edge[bi] = NONE;
         self.free_slots.push(b);
-        for &ch in &fl {
-            self.refresh_node(ch);
+        // fl[even < pr] and xr = fl[pr] stay inner at rate −1, so every
+        // event they touch stays parked; the outer (−1 → +1) and freed
+        // (−1 → 0) children wake.
+        for (i, &ch) in fl.iter().enumerate() {
+            if i > pr || i % 2 == 1 {
+                self.refresh_node(ch);
+            }
         }
+        self.counters.blossoms_expanded += 1;
         // Hand the buffers back for capacity reuse (cleared on realloc).
         self.flower[bi] = fl;
         self.flower_edges[bi] = fe;
@@ -908,7 +1105,6 @@ impl AltTreeBackend {
     /// Flips the alternating path from node `x` up to its tree root, with the
     /// first re-match given by either a candidate edge or a boundary commit.
     fn augment_path(&mut self, x: u32, pair: Option<u32>, boundary: Option<u32>) {
-        let mut x = x;
         let mut old = self.matched[x as usize];
         debug_assert_ne!(old, BOUNDARY, "tree nodes are never boundary-matched");
         match (pair, boundary) {
@@ -924,8 +1120,6 @@ impl AltTreeBackend {
             debug_assert_ne!(next_old, BOUNDARY);
             self.set_match(inner, pe);
             self.set_match(parent, pe);
-            x = parent;
-            let _ = x;
             old = next_old;
         }
     }
@@ -1000,10 +1194,10 @@ impl AltTreeBackend {
         x
     }
 
-    /// Resets all per-call state for `vertices[i]` = source vertex of
+    /// Resets all per-call state for `self.vertices[i]` = source vertex of
     /// residual region `i`, and seeds every region's frontier.
-    fn init(&mut self, graph: &SyndromeGraph, vertices: &[usize]) {
-        let k = vertices.len();
+    fn init(&mut self, graph: &SyndromeGraph) {
+        let k = self.vertices.len();
         let n = graph.num_vertices();
         self.k = k;
         self.now = 0.0;
@@ -1061,7 +1255,8 @@ impl AltTreeBackend {
             self.tree_members[t].clear();
             self.free_trees.push(t as u32);
         }
-        for (i, &vertex) in vertices.iter().enumerate() {
+        for i in 0..k {
+            let vertex = self.vertices[i];
             self.tree_members[i].clear();
             self.tree_members[i].push(i as u32);
             self.tree_tag[i] = i as u32;
@@ -1087,6 +1282,7 @@ impl AltTreeBackend {
                 )
             });
             steps += 1;
+            self.counters.events_popped += 1;
             assert!(
                 steps < cap,
                 "alternating-tree matcher failed to converge within {cap} events"
@@ -1105,6 +1301,7 @@ impl AltTreeBackend {
                         continue;
                     }
                     self.now = self.now.max(t);
+                    self.counters.events_acted += 1;
                     self.settle(graph, u);
                 }
                 EventKind::EdgeTight => {
@@ -1126,6 +1323,7 @@ impl AltTreeBackend {
                         continue;
                     }
                     self.now = self.now.max(t);
+                    self.counters.events_acted += 1;
                     match (self.state[x as usize], self.state[y as usize]) {
                         (0, 0) => {
                             if self.tree_tag[x as usize] == self.tree_tag[y as usize] {
@@ -1152,6 +1350,7 @@ impl AltTreeBackend {
                         continue;
                     }
                     self.now = self.now.max(t);
+                    self.counters.events_acted += 1;
                     self.augment_boundary_hit(u);
                 }
                 EventKind::BlossomZero => {
@@ -1165,6 +1364,7 @@ impl AltTreeBackend {
                         continue;
                     }
                     self.now = self.now.max(t);
+                    self.counters.events_acted += 1;
                     self.expand_blossom(b);
                 }
             }
@@ -1235,42 +1435,40 @@ impl AltTreeBackend {
     }
 }
 
-impl DecoderBackend for AltTreeBackend {
-    fn decode_defects(&mut self, graph: &SyndromeGraph, defects: &[usize]) -> DefectMatching {
-        let mut out = DefectMatching::default();
-        if defects.is_empty() {
-            return out;
-        }
-        let n = graph.num_vertices();
-        // Zero-weight pre-pairing: same contraction semantics as the blossom
-        // backend — defects sharing a zero-weight component pair for free and
-        // only the per-component parity enters the tree machinery.
-        self.zero_parent.clear();
-        self.zero_parent.extend(0..n as u32);
-        for edge in graph.edges() {
-            if let Some(v) = edge.v {
-                if edge.weight <= ZERO_EPS {
-                    let (ru, rv) = (self.zero_find(edge.u as u32), self.zero_find(v as u32));
-                    if ru != rv {
-                        self.zero_parent[ru as usize] = rv;
-                    }
-                }
-            }
-        }
-        let mut buckets: std::collections::BTreeMap<u32, Vec<usize>> =
-            std::collections::BTreeMap::new();
+impl AltTreeBackend {
+    /// Zero-weight pre-pairing: same contraction semantics as the blossom
+    /// backend — defects sharing a zero-weight component pair for free (in
+    /// component-root order) and only the per-component parity enters the
+    /// tree machinery.  Fills `residual` with the unpaired defect indices,
+    /// ascending.  Without `contracted` components every vertex is its own.
+    fn pre_pair(
+        &mut self,
+        defects: &[usize],
+        contracted: bool,
+        residual: &mut Vec<usize>,
+        out: &mut DefectMatching,
+    ) {
+        let mut keys = std::mem::take(&mut self.zero_keys);
+        keys.clear();
         for (i, &v) in defects.iter().enumerate() {
-            assert!(v < n, "defect vertex {v} out of range");
-            let root = self.zero_find(v as u32);
-            buckets.entry(root).or_default().push(i);
+            let root = if contracted {
+                self.zero_find(v as u32)
+            } else {
+                v as u32
+            };
+            keys.push((root, i as u32));
         }
-        let mut residual: Vec<usize> = Vec::new();
-        for bucket in buckets.values() {
+        keys.sort_unstable();
+        for bucket in keys.chunk_by(|x, y| x.0 == y.0) {
             for pair in bucket.chunks(2) {
-                if let [a, b] = *pair {
-                    out.pairs.push(DefectPair { a, b, cost: 0.0 });
+                if let [(_, a), (_, b)] = *pair {
+                    out.pairs.push(DefectPair {
+                        a: a as usize,
+                        b: b as usize,
+                        cost: 0.0,
+                    });
                 } else {
-                    residual.push(pair[0]);
+                    residual.push(pair[0].1 as usize);
                 }
             }
             if bucket.len() >= 2 && bucket.len() % 2 == 0 {
@@ -1278,15 +1476,66 @@ impl DecoderBackend for AltTreeBackend {
             }
         }
         residual.sort_unstable();
-        if residual.is_empty() {
+        self.zero_keys = keys;
+    }
+}
+
+impl DecoderBackend for AltTreeBackend {
+    fn decode_defects(&mut self, graph: &SyndromeGraph, defects: &[usize]) -> DefectMatching {
+        let mut out = DefectMatching::default();
+        if defects.is_empty() {
             return out;
         }
-        let wmax = graph.edges().iter().fold(0.0f64, |m, e| m.max(e.weight));
+        let n = graph.num_vertices();
+        for &v in defects {
+            assert!(v < n, "defect vertex {v} out of range");
+        }
+        // One pass over the edges finds the largest weight, which scales the
+        // slack tolerance, and the smallest interior one: only a zero-weight
+        // interior edge calls for the contraction.
+        let (wmax, wmin) = graph
+            .edges()
+            .iter()
+            .fold((0.0f64, f64::INFINITY), |(hi, lo), e| {
+                let interior = if e.v.is_some() {
+                    e.weight
+                } else {
+                    f64::INFINITY
+                };
+                (hi.max(e.weight), lo.min(interior))
+            });
+        let contracted = wmin <= ZERO_EPS;
+        if contracted {
+            self.zero_parent.clear();
+            self.zero_parent.extend(0..n as u32);
+            for edge in graph.edges() {
+                if let Some(v) = edge.v {
+                    if edge.weight <= ZERO_EPS {
+                        let (ru, rv) = (self.zero_find(edge.u as u32), self.zero_find(v as u32));
+                        if ru != rv {
+                            self.zero_parent[ru as usize] = rv;
+                        }
+                    }
+                }
+            }
+        }
         self.eps = (1.0 + wmax) * 1e-9;
-        let vertices: Vec<usize> = residual.iter().map(|&i| defects[i]).collect();
-        self.init(graph, &vertices);
-        self.run(graph);
-        self.extract(&residual, &mut out);
+        let mut residual = std::mem::take(&mut self.residual);
+        residual.clear();
+        if !contracted && defects.windows(2).all(|w| w[0] < w[1]) {
+            // Distinct vertices and no zero-weight edge: nothing pre-pairs.
+            residual.extend(0..defects.len());
+        } else {
+            self.pre_pair(defects, contracted, &mut residual, &mut out);
+        }
+        if !residual.is_empty() {
+            self.vertices.clear();
+            self.vertices.extend(residual.iter().map(|&i| defects[i]));
+            self.init(graph);
+            self.run(graph);
+            self.extract(&residual, &mut out);
+        }
+        self.residual = residual;
         out
     }
 
@@ -1520,6 +1769,178 @@ mod tests {
                 m.total_cost(),
                 e.total_cost(),
                 &format!("tie round {round}"),
+            );
+        }
+    }
+
+    fn pop_all(q: &mut EventQueue) -> Vec<(f64, EventKind, u32)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| (e.t, e.kind, e.id))
+            .collect()
+    }
+
+    #[test]
+    fn queue_rekeys_entries_up_and_down() {
+        let mut q = EventQueue::default();
+        q.push(3.0, EventKind::Settle, 0);
+        q.push(2.0, EventKind::Settle, 1);
+        q.push(5.0, EventKind::Settle, 2);
+        q.push(4.0, EventKind::Settle, 3);
+        q.push(1.0, EventKind::Settle, 2); // up: 5 -> 1
+        q.push(10.0, EventKind::Settle, 1); // down: 2 -> 10
+        q.push(4.0, EventKind::Settle, 3); // unchanged: a no-op
+        assert_eq!(q.len(), 4);
+        let ids: Vec<u32> = pop_all(&mut q).iter().map(|e| e.2).collect();
+        assert_eq!(ids, [2, 0, 3, 1]);
+    }
+
+    #[test]
+    fn queue_pops_in_time_kind_id_order() {
+        let mut q = EventQueue::default();
+        q.push(1.0, EventKind::EdgeTight, 5);
+        q.push(1.0, EventKind::BoundaryHit, 0);
+        q.push(1.0, EventKind::Settle, 9);
+        q.push(1.0, EventKind::EdgeTight, 2);
+        q.push(0.5, EventKind::BoundaryHit, 7);
+        q.push(1.0, EventKind::BlossomZero, 4);
+        assert_eq!(
+            pop_all(&mut q),
+            [
+                (0.5, EventKind::BoundaryHit, 7),
+                (1.0, EventKind::Settle, 9),
+                (1.0, EventKind::BlossomZero, 4),
+                (1.0, EventKind::EdgeTight, 2),
+                (1.0, EventKind::EdgeTight, 5),
+                (1.0, EventKind::BoundaryHit, 0),
+            ]
+        );
+        assert!(q.pop().is_none());
+    }
+
+    /// Random pushes and re-keys against a reference map: one live entry
+    /// per source, holding its last scheduled time, popped in order.
+    #[test]
+    fn queue_keeps_one_live_entry_per_source() {
+        const KIND: [EventKind; KINDS] = [
+            EventKind::Settle,
+            EventKind::BlossomZero,
+            EventKind::EdgeTight,
+            EventKind::BoundaryHit,
+        ];
+        let mut rng = Lcg(0x9e3779b97f4a7c15);
+        let mut q = EventQueue::default();
+        for round in 0..50 {
+            let mut last = std::collections::BTreeMap::new();
+            for _ in 0..(1 + rng.below(200)) {
+                let kind = KIND[rng.below(KINDS)];
+                let id = rng.below(30) as u32;
+                // Few distinct times, so ties exercise the kind/id order.
+                let t = rng.below(12) as f64 * 0.25;
+                q.push(t, kind, id);
+                last.insert((kind, id), t);
+                assert_eq!(q.len(), last.len(), "round {round}");
+            }
+            // Pop a prefix, then push more before draining, as the matcher
+            // does; every pop removes its source from the reference.
+            for _ in 0..rng.below(last.len() + 1) {
+                let e = q.pop().expect("live entries remain");
+                assert_eq!(last.remove(&(e.kind, e.id)), Some(e.t), "round {round}");
+                assert!(last.values().all(|&t| t >= e.t), "round {round}");
+            }
+            let mut want: Vec<(f64, EventKind, u32)> =
+                last.iter().map(|(&(kind, id), &t)| (t, kind, id)).collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            assert_eq!(pop_all(&mut q), want, "round {round}");
+        }
+    }
+
+    #[test]
+    fn queue_clear_leaves_no_stale_positions() {
+        let mut q = EventQueue::default();
+        for id in 0..20 {
+            q.push(id as f64, EventKind::EdgeTight, id);
+            q.push(0.5 * id as f64, EventKind::Settle, id % 7);
+        }
+        q.pop();
+        q.clear();
+        assert_eq!(q.len(), 0);
+        assert!(q.pos.iter().all(|&p| p == NONE));
+        q.push(2.0, EventKind::EdgeTight, 3);
+        q.push(1.0, EventKind::EdgeTight, 19);
+        assert_eq!(
+            pop_all(&mut q),
+            [
+                (1.0, EventKind::EdgeTight, 19),
+                (2.0, EventKind::EdgeTight, 3)
+            ]
+        );
+    }
+
+    /// A `rows x cols` grid with random weights and boundary edges on the
+    /// left and right columns.
+    fn random_grid(rng: &mut Lcg, rows: usize, cols: usize) -> SyndromeGraph {
+        let mut g = SyndromeGraph::new(rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = r * cols + c;
+                if c + 1 < cols {
+                    g.add_edge(v, v + 1, 0.1 + rng.uniform() * 2.0);
+                }
+                if r + 1 < rows {
+                    g.add_edge(v, v + cols, 0.1 + rng.uniform() * 2.0);
+                }
+            }
+            g.add_boundary_edge(r * cols, 0.1 + rng.uniform() * 2.0);
+            g.add_boundary_edge(r * cols + cols - 1, 0.1 + rng.uniform() * 2.0);
+        }
+        g
+    }
+
+    /// A large decode leaves live events, candidates and blossom ids behind
+    /// in the queue's position tables; the next, smaller decode must not see
+    /// any of them.
+    #[test]
+    fn reuse_after_a_large_decode_is_bit_identical() {
+        let mut rng = Lcg(0x1a2e_5ca1);
+        let large = random_grid(&mut rng, 24, 24);
+        let large_defects: Vec<usize> = (0..large.num_vertices())
+            .filter(|_| rng.below(4) == 0)
+            .collect();
+        let mut reused = AltTreeBackend::new();
+        let first = reused.decode_defects(&large, &large_defects);
+        assert!(first.is_perfect(large_defects.len()));
+        assert!(
+            reused.events.len() > 0,
+            "the large decode ends with live events"
+        );
+        assert!(reused.counters().blossoms_formed > 0);
+        for round in 0..20 {
+            let (rows, cols) = (3 + rng.below(4), 3 + rng.below(4));
+            let small = random_grid(&mut rng, rows, cols);
+            let defects: Vec<usize> = (0..small.num_vertices())
+                .filter(|_| rng.below(3) == 0)
+                .collect();
+            let warm = reused.decode_defects(&small, &defects);
+            let cold = AltTreeBackend::new().decode_defects(&small, &defects);
+            assert_eq!(warm, cold, "round {round}");
+        }
+    }
+
+    /// Without zero-weight edges, defects that share a vertex still pre-pair
+    /// for free, whatever order they are listed in.
+    #[test]
+    fn repeated_defect_vertices_pre_pair_without_zero_edges() {
+        let g = SyndromeGraph::line(&[1.0, 0.7, 1.3, 0.9], 1.1);
+        for defects in [vec![2usize, 2], vec![3, 1, 3, 0], vec![4, 1, 1, 1]] {
+            let m = AltTreeBackend::new().decode_defects(&g, &defects);
+            assert!(m.is_perfect(defects.len()), "defects {defects:?}");
+            let exact = oracle().decode_defects(&g, &defects);
+            assert_close(m.total_cost(), exact.total_cost(), "repeated vertices");
+            assert!(
+                m.pairs
+                    .iter()
+                    .any(|p| p.cost == 0.0 && defects[p.a] == defects[p.b]),
+                "defects {defects:?}: {m:?}"
             );
         }
     }

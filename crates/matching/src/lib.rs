@@ -63,7 +63,7 @@ mod refine;
 mod sparse;
 mod union_find;
 
-pub use alt_tree::AltTreeBackend;
+pub use alt_tree::{AltTreeBackend, AltTreeCounters};
 pub use backend::{ExactBackend, GreedyBackend};
 pub use blossom::{BlossomBackend, BlossomMatcher};
 pub use exact::ExactMatcher;
