@@ -13,10 +13,8 @@
 //!
 //! The sweep runs on the shared adaptive engine, so `--target-rse`,
 //! `--checkpoint`/`--resume` and `--report` all work; distances d > 13 are
-//! only tractable because the alternating-tree backend decodes the rollback
-//! windows ~12x faster than the dense exact oracle, so `--matcher` defaults
-//! to `tree` here (pass `--matcher exact` to cross-check small d, or
-//! `--matcher blossom` for the truncated-ball sparse blossom backend).
+//! tractable because the default alternating-tree backend decodes exactly
+//! on the sparse graph, with no dense per-cluster solves.
 //! After the sweep the binary re-parses the engine's own JSON report and
 //! validates it (every cell present, Wilson bounds ordered and bracketing
 //! the point estimate), exiting 3 on any violation — CI runs this
@@ -25,7 +23,6 @@
 //! Run with `--help` for the full flag set (`--distances 3,5,...` narrows
 //! the distance sweep for smoke runs).
 
-use q3de::matching::MatcherKind;
 use q3de::sim::engine::json::{check_schema_version, JsonValue};
 use q3de::sim::engine::{SweepPoint, SweepReport, REPORT_SCHEMA_VERSION};
 use q3de::sim::{AnomalyInjection, DecodingStrategy, MemoryExperimentConfig};
@@ -58,14 +55,11 @@ struct Cell {
 }
 
 fn main() {
-    // This figure needs exact decoding at large d: default to the fastest
-    // exact backend (alternating-tree) unless the user picks a matcher.
     let (args, extras) = Cli::new(
         "fig_threshold",
         "logical error rate vs MBBE burst rate, with crossing-point threshold estimates",
         200,
     )
-    .default_matcher(MatcherKind::Tree)
     .flag(
         "--distances",
         "LIST",

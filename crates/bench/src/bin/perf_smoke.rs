@@ -31,7 +31,7 @@ use rand_chacha::ChaCha8Rng;
 /// happens once up front and does not depend on the matcher, so every
 /// backend's point decodes the *same* windows and the measured shots/sec is
 /// pure decode throughput — which also makes same-process backend ratios
-/// (the blossom/exact gate below) machine-speed independent.
+/// (the tree/uf gate below) machine-speed independent.
 fn decode_window_point(base_seed: u64, matcher: MatcherKind, id: &'static str) -> SweepPoint {
     const WINDOWS: u64 = 16;
     let config = MemoryExperimentConfig::new(11, 5e-3)
@@ -244,20 +244,9 @@ fn main() {
             MatcherKind::UnionFind,
             "perf/decode_window/d11/uf/rollback",
         ),
-        // the blossom/exact pair shares the uf point's windows (same seed):
-        // their throughput ratio is the sparse-blossom acceptance gate
-        decode_window_point(
-            args.stream_seed(4),
-            MatcherKind::Blossom,
-            "perf/decode_window/d11/blossom/rollback",
-        ),
-        decode_window_point(
-            args.stream_seed(4),
-            MatcherKind::Exact,
-            "perf/decode_window/d11/exact/rollback",
-        ),
-        // same windows again for the alternating-tree backend: the tree/exact
-        // ratio is the 10x-regime acceptance gate for the sparse-native core
+        // the same windows (same seed) through the exact alternating-tree
+        // backend: the tree/uf ratio gates what exactness costs over the
+        // fast approximate baseline
         decode_window_point(
             args.stream_seed(4),
             MatcherKind::Tree,
@@ -364,67 +353,40 @@ fn main() {
             failed = true;
         }
     }
-    // The packed/scalar speedup gates as a *ratio*: both points run in the
-    // same process on the same host, so the ratio is robust to machine
-    // speed in a way the absolute baselines are not.
-    const PACKED_SPEEDUP_FLOOR: f64 = 5.0;
-    if let (Some(scalar), Some(packed)) = (
-        report.point("perf/mem/d3/uniform"),
-        report.point("perf/mem_packed/d3/uniform"),
-    ) {
-        let ratio = packed.shots_per_sec() / scalar.shots_per_sec();
-        let verdict = if ratio < PACKED_SPEEDUP_FLOOR {
+    // Ratio gates: both points of a ratio run in the same process on the
+    // same host, so the ratio is robust to machine speed in a way the
+    // absolute baselines are not.
+    //
+    // * packed/scalar d3: the headline number of the 64-shot batch spine.
+    // * tree/uf d11: the exact tree matcher against the union-find baseline
+    //   on identical pre-sampled burst windows.  Measured 0.21-0.24 on a
+    //   2-vCPU host; the floor sits 2x or more below that for machine variance.
+    const RATIO_GATES: [(&str, &str, &str, f64); 2] = [
+        (
+            "packed/scalar d3",
+            "perf/mem_packed/d3/uniform",
+            "perf/mem/d3/uniform",
+            5.0,
+        ),
+        (
+            "tree/uf d11",
+            "perf/decode_window/d11/tree/rollback",
+            "perf/decode_window/d11/uf/rollback",
+            0.1,
+        ),
+    ];
+    for (label, numerator, denominator, floor) in RATIO_GATES {
+        let (Some(num), Some(den)) = (report.point(numerator), report.point(denominator)) else {
+            continue;
+        };
+        let ratio = num.shots_per_sec() / den.shots_per_sec();
+        let verdict = if ratio < floor {
             failed = true;
             "FAIL"
         } else {
             "ok"
         };
-        eprintln!(
-            "  packed/scalar d3 speedup: {ratio:.2}x (floor {PACKED_SPEEDUP_FLOOR:.1}x) {verdict}"
-        );
-    }
-    // Same-process ratio gate for the sparse blossom backend vs the dense
-    // exact oracle (all-pairs Dijkstra + per-cluster DP) on the d = 11 burst
-    // rollback kernel.  Both points decode identical pre-sampled windows in
-    // this very process.  Measured ~4.7x (truncated balls + 0-1 BFS rings +
-    // warm-started duals); the floor leaves margin for machine variance.
-    // The ~10x regime is covered by the alternating-tree backend below,
-    // which grows regions on the sparse graph with no dense solves at all.
-    const BLOSSOM_SPEEDUP_FLOOR: f64 = 3.5;
-    if let (Some(exact), Some(blossom)) = (
-        report.point("perf/decode_window/d11/exact/rollback"),
-        report.point("perf/decode_window/d11/blossom/rollback"),
-    ) {
-        let ratio = blossom.shots_per_sec() / exact.shots_per_sec();
-        let verdict = if ratio < BLOSSOM_SPEEDUP_FLOOR {
-            failed = true;
-            "FAIL"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "  blossom/exact d11 speedup: {ratio:.2}x (floor {BLOSSOM_SPEEDUP_FLOOR:.1}x) {verdict}"
-        );
-    }
-    // Same-process ratio gate for the simultaneous alternating-tree backend
-    // vs the dense exact oracle on the same kernel.  The tree backend grows
-    // all regions directly on the sparse graph with no per-cluster dense
-    // solves; measured ~12x on a warm machine, floor at 7x for variance.
-    const TREE_SPEEDUP_FLOOR: f64 = 7.0;
-    if let (Some(exact), Some(tree)) = (
-        report.point("perf/decode_window/d11/exact/rollback"),
-        report.point("perf/decode_window/d11/tree/rollback"),
-    ) {
-        let ratio = tree.shots_per_sec() / exact.shots_per_sec();
-        let verdict = if ratio < TREE_SPEEDUP_FLOOR {
-            failed = true;
-            "FAIL"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "  tree/exact d11 speedup: {ratio:.2}x (floor {TREE_SPEEDUP_FLOOR:.1}x) {verdict}"
-        );
+        eprintln!("  {label} ratio: {ratio:.2}x (floor {floor:.1}x) {verdict}");
     }
     if failed {
         eprintln!(

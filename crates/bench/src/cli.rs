@@ -31,7 +31,7 @@ pub struct EngineArgs {
     /// tables and progress move to stderr so piped JSON stays parseable.
     pub json: bool,
     /// Matching backend the decoding binaries run
-    /// (`--matcher exact|greedy|union-find|blossom|tree`).
+    /// (`--matcher tree|greedy|union-find`).
     pub matcher: MatcherKind,
     /// Sweep worker threads (`--threads N`); `None` uses one per available
     /// core.  Thread count never changes tallies (pinned by the engine's
@@ -191,6 +191,11 @@ impl ExtraValues {
     }
 }
 
+/// The selectable `--matcher` names, `|`-separated (`tree|greedy|union-find`).
+fn matcher_names() -> String {
+    MatcherKind::ALL.map(MatcherKind::name).join("|")
+}
+
 /// A declarative command line for one experiment binary: name, summary,
 /// default sample count and any binary-specific flags.  [`Cli::parse`]
 /// yields the shared [`EngineArgs`] plus the [`ExtraValues`].
@@ -199,7 +204,6 @@ pub struct Cli {
     bin: &'static str,
     summary: &'static str,
     default_samples: usize,
-    default_matcher: MatcherKind,
     extras: Vec<ExtraFlag>,
 }
 
@@ -211,16 +215,8 @@ impl Cli {
             bin,
             summary,
             default_samples,
-            default_matcher: MatcherKind::default(),
             extras: Vec::new(),
         }
-    }
-
-    /// Overrides the default matching backend (fig_threshold defaults to
-    /// the alternating-tree matcher, for instance).
-    pub fn default_matcher(mut self, matcher: MatcherKind) -> Self {
-        self.default_matcher = matcher;
-        self
     }
 
     /// Declares a binary-specific flag: the literal `flag` (`--workers`),
@@ -271,7 +267,7 @@ impl Cli {
             samples: self.default_samples,
             seed: 2022,
             json: false,
-            matcher: self.default_matcher,
+            matcher: MatcherKind::default(),
             threads: None,
             target_rse: None,
             checkpoint: None,
@@ -293,10 +289,7 @@ impl Cli {
                 "--matcher" => {
                     let name = value()?;
                     args.matcher = MatcherKind::parse(name).ok_or_else(|| {
-                        format!(
-                            "unknown matcher '{name}': expected \
-                             exact|greedy|union-find|blossom|tree"
-                        )
+                        format!("unknown matcher '{name}': expected {}", matcher_names())
                     })?;
                 }
                 "--threads" => {
@@ -350,8 +343,9 @@ impl Cli {
             (
                 "--matcher NAME".into(),
                 format!(
-                    "matching backend: exact|greedy|union-find|blossom|tree (default {})",
-                    self.default_matcher.name()
+                    "matching backend: {} (default {})",
+                    matcher_names(),
+                    MatcherKind::default().name()
                 ),
             ),
             (
@@ -436,7 +430,7 @@ mod tests {
         let args = args();
         assert_eq!(args.samples, 100);
         assert_eq!(args.seed, 2022);
-        assert_eq!(args.matcher, MatcherKind::default());
+        assert_eq!(args.matcher, MatcherKind::Tree);
         assert!(!args.json && !args.resume);
         assert!(args.threads.is_none() && args.target_rse.is_none());
         let mut a = args.rng(0);
@@ -456,13 +450,13 @@ mod tests {
         let cli = Cli::new("test", "test binary", 100);
         let (args, _) = cli
             .parse_from(&argv(
-                "--samples 5000 --seed 7 --matcher blossom --threads 3 \
+                "--samples 5000 --seed 7 --matcher greedy --threads 3 \
                  --target-rse 0.05 --checkpoint cp.json --resume --report out.json --json",
             ))
             .unwrap();
         assert_eq!(args.samples, 5000);
         assert_eq!(args.seed, 7);
-        assert_eq!(args.matcher, MatcherKind::Blossom);
+        assert_eq!(args.matcher, MatcherKind::Greedy);
         assert_eq!(args.threads, Some(3));
         assert_eq!(args.target_rse, Some(0.05));
         assert_eq!(args.checkpoint.as_deref(), Some("cp.json"));
@@ -480,6 +474,8 @@ mod tests {
             ("--samples x", "invalid --samples"),
             ("--seed 1.5", "invalid --seed"),
             ("--matcher qec", "unknown matcher 'qec'"),
+            ("--matcher exact", "unknown matcher 'exact'"),
+            ("--matcher blossom", "unknown matcher 'blossom'"),
             ("--threads 0", "invalid --threads '0'"),
             ("--target-rse -1", "invalid --target-rse"),
             ("--target-rse nope", "invalid --target-rse"),
@@ -528,6 +524,7 @@ mod tests {
         ] {
             assert!(help.contains(flag), "help is missing {flag}:\n{help}");
         }
+        assert!(help.contains("matching backend: tree|greedy|union-find (default tree)"));
         assert!(help.contains("Usage: fig_service [OPTIONS]"));
         assert!(help.contains("default 48"));
         assert!(help.contains("fig_service options:"));

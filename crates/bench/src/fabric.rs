@@ -915,6 +915,19 @@ mod tests {
         }
         let err = SweepJob::from_json(&doc).unwrap_err();
         assert!(err.contains("schema version"), "{err}");
+        // Matchers that no longer exist are refused by name, not a panic.
+        for old in ["exact", "blossom"] {
+            let mut doc = generator().to_json();
+            if let JsonValue::Object(fields) = &mut doc {
+                for (key, value) in fields.iter_mut() {
+                    if key == "matcher" {
+                        *value = JsonValue::String(old.into());
+                    }
+                }
+            }
+            let err = Generator::from_json(&doc).unwrap_err();
+            assert!(err.contains(&format!("unknown matcher '{old}'")), "{err}");
+        }
     }
 
     #[test]

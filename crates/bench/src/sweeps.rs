@@ -209,7 +209,7 @@ mod tests {
             samples: 100,
             seed: 1,
             json: false,
-            matcher: MatcherKind::Exact,
+            matcher: MatcherKind::default(),
             threads: None,
             target_rse: None,
             checkpoint: None,

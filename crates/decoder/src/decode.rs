@@ -3,34 +3,15 @@
 use crate::spacetime::BoundarySide;
 use crate::{DetectionEvent, SyndromeHistory, WeightModel};
 use q3de_lattice::MatchingGraph;
-use q3de_matching::{
-    AltTreeBackend, BlossomBackend, DecoderBackend, ExactBackend, GreedyBackend, MatcherKind,
-    UnionFindDecoder,
-};
+use q3de_matching::{AltTreeBackend, DecoderBackend, GreedyBackend, MatcherKind, UnionFindDecoder};
 
-/// Tuning knobs of the [`SurfaceDecoder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration of the [`SurfaceDecoder`]: which matching backend decodes
+/// the syndrome windows.  The default is the exact alternating-tree
+/// matcher ([`MatcherKind::Tree`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecoderConfig {
     /// Which matching backend decodes the syndrome windows.
     pub matcher: MatcherKind,
-    /// For the [`MatcherKind::Exact`] backend: clusters with at most this
-    /// many detection events are matched exactly; larger clusters fall back
-    /// to the refined greedy matcher.
-    pub exact_cluster_threshold: usize,
-    /// Maximum 2-opt improvement sweeps: the [`MatcherKind::Exact`]
-    /// backend's large-cluster fallback and the [`MatcherKind::Greedy`]
-    /// backend's repair pass both honour this bound.
-    pub refine_rounds: usize,
-}
-
-impl Default for DecoderConfig {
-    fn default() -> Self {
-        Self {
-            matcher: MatcherKind::Exact,
-            exact_cluster_threshold: 16,
-            refine_rounds: 64,
-        }
-    }
 }
 
 impl DecoderConfig {
@@ -47,14 +28,9 @@ impl DecoderConfig {
     /// what [`crate::DecoderContext`] does.
     pub fn backend(&self) -> Box<dyn DecoderBackend + Send> {
         match self.matcher {
-            MatcherKind::Exact => Box::new(ExactBackend::new(
-                self.exact_cluster_threshold,
-                self.refine_rounds,
-            )),
-            MatcherKind::Greedy => Box::new(GreedyBackend::new(self.refine_rounds)),
-            MatcherKind::UnionFind => Box::new(UnionFindDecoder::default()),
-            MatcherKind::Blossom => Box::new(BlossomBackend::new()),
             MatcherKind::Tree => Box::new(AltTreeBackend::new()),
+            MatcherKind::Greedy => Box::new(GreedyBackend::default()),
+            MatcherKind::UnionFind => Box::new(UnionFindDecoder::default()),
         }
     }
 }
@@ -119,10 +95,11 @@ impl DecodeOutcome {
 ///
 /// The decoder builds the sparse space-time graph of the syndrome window
 /// ([`crate::SpaceTimeGraph`]), hands it together with the detection events
-/// to the configured [`DecoderBackend`] (exact, greedy, union-find or blossom — see
-/// [`MatcherKind`]), and reports the correction parity needed for the
-/// logical-failure check.  Anomaly-aware re-weighting is applied when the
-/// graph is built, so every backend decodes the same re-weighted costs.
+/// to the configured [`DecoderBackend`] (the exact tree matcher by default,
+/// or greedy / union-find — see [`MatcherKind`]), and reports the
+/// correction parity needed for the logical-failure check.  Anomaly-aware
+/// re-weighting is applied when the graph is built, so every backend
+/// decodes the same re-weighted costs.
 ///
 /// `SurfaceDecoder` is a convenience wrapper binding one layer graph to an
 /// owned [`crate::DecoderContext`]: decoding takes `&mut self` because the context
@@ -130,13 +107,11 @@ impl DecodeOutcome {
 /// (see the context docs for the invalidation rules).  Reuse changes
 /// nothing but speed — every decode is bit-identical to a fresh decoder's.
 ///
-/// Performance note: the dense backends extract pairwise defect costs with
+/// Performance note: the greedy backend extracts pairwise defect costs with
 /// Dijkstra on the sparse graph even under uniform weights (where a
 /// closed-form Manhattan metric — still available via
-/// [`crate::SpaceTimeCosts`] — would be cheaper).  Decoding throughput
-/// should come from selecting [`MatcherKind::UnionFind`], which skips the
-/// dense cost extraction entirely, rather than from special-casing the
-/// uniform model inside every dense backend.
+/// [`crate::SpaceTimeCosts`] — would be cheaper).  The tree and union-find
+/// backends skip dense cost extraction entirely.
 #[derive(Debug)]
 pub struct SurfaceDecoder<'g> {
     graph: &'g MatchingGraph,

@@ -75,17 +75,9 @@ impl<'g> ReExecutingDecoder<'g> {
     /// Creates a re-executing decoder over `graph` with base physical error
     /// rate `base_rate`.
     ///
-    /// Defaults to the [`MatcherKind::Tree`] backend — exact matching is
-    /// what makes the rollback pass worth paying for, and the alternating-
-    /// tree matcher is the fastest exact backend (~12x the dense oracle on
-    /// the d = 11 rollback kernel).  Use [`Self::with_matcher`] or
-    /// [`Self::with_config`] to pick a different backend.
+    /// Uses [`DecoderConfig::default`], the exact tree matcher.
     pub fn new(graph: &'g MatchingGraph, base_rate: f64) -> Self {
-        Self::with_config(
-            graph,
-            base_rate,
-            DecoderConfig::default().with_matcher(MatcherKind::Tree),
-        )
+        Self::with_config(graph, base_rate, DecoderConfig::default())
     }
 
     /// Creates a re-executing decoder with an explicit decoder configuration.

@@ -1,12 +1,10 @@
 //! The simultaneous alternating-tree backend: sparse-native exact MWPM.
 //!
-//! [`BlossomBackend`](crate::BlossomBackend) still funnels every cluster
-//! through a dense `O(c³)` primal–dual kernel after its sparse clustering
-//! pass, and profiling the d = 11 rollback kernel shows those per-cluster
-//! solves dominating.  This module removes them — and the truncated-ball
-//! radius heuristics — entirely, with the core idea behind PyMatching v2's
-//! sparse blossom: *every* unmatched defect grows an alternating-tree
-//! region directly on the sparse [`SyndromeGraph`], all at once.
+//! This is the one exact decoder and the default [`crate::MatcherKind`].
+//! It needs no dense all-pairs cost matrix and no per-cluster dense solve:
+//! following the core idea behind PyMatching v2's sparse blossom, *every*
+//! unmatched defect grows an alternating-tree region directly on the
+//! sparse [`SyndromeGraph`], all at once.
 //!
 //! The machinery:
 //!
@@ -54,9 +52,9 @@
 //!   and releases its boundary attachment — no boundary-slot pools, no
 //!   retry doubling, no big-M.
 //!
-//! Zero-weight pre-pairing (a Q3DE anomaly at `p = 0.5`) is shared with the
-//! blossom backend: defects in one zero-weight component pair for free and
-//! only the residual parity enters the tree machinery.
+//! Zero-weight pre-pairing (a Q3DE anomaly at `p = 0.5`): defects in one
+//! zero-weight component pair for free and only the residual parity enters
+//! the tree machinery.
 //!
 //! The backend keeps cumulative event and blossom counts
 //! ([`AltTreeBackend::counters`]); they are plain integer bumps on paths
@@ -68,9 +66,9 @@
 //! stateless up to scratch: reused instances decode bit-identically to
 //! fresh ones.
 //!
-//! Exactness is pinned the same way the blossom backend's is: *total
-//! matching weight equality* against [`ExactBackend`](crate::ExactBackend)
-//! on every differential and property suite, plus a 30k-instance tie-heavy
+//! Exactness is pinned by *total matching weight equality* against the
+//! bitmask-DP oracle [`ExactBackend`](crate::ExactBackend) on every
+//! differential and property suite, plus a 30k-instance tie-heavy
 //! random-graph differential.
 
 use crate::sparse::{DefectBoundaryMatch, DefectMatching, DefectPair, SparseEdgeId, SyndromeGraph};
@@ -79,7 +77,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Edges at or below this weight are treated as free by the zero-weight
-/// pre-pairing contraction (shared with the blossom backend).
+/// pre-pairing contraction.
 const ZERO_EPS: f64 = 1e-12;
 
 /// Sentinel node / defect id meaning "none".
@@ -309,9 +307,9 @@ struct Cand {
 /// The simultaneous alternating-tree backend (see the module docs).
 /// Select it with [`crate::MatcherKind::Tree`].
 ///
-/// Exactness contract: identical to the blossom backend's — total matching
-/// weight equals the dense exact oracle's on every instance, with no
-/// cluster-size cliff and no per-cluster dense solves at all.
+/// Exactness contract: total matching weight equals the dense exact
+/// oracle's on every instance, with no cluster-size cliff and no
+/// per-cluster dense solves at all.
 #[derive(Debug, Clone, Default)]
 pub struct AltTreeBackend {
     // -- per-call problem size ------------------------------------------------
@@ -1556,7 +1554,7 @@ mod tests {
         );
     }
 
-    /// Tiny deterministic generator (same recurrence as the blossom tests).
+    /// Tiny deterministic generator (a 64-bit LCG with an xor-shift output).
     struct Lcg(u64);
     impl Lcg {
         fn next_u64(&mut self) -> u64 {
@@ -1572,10 +1570,6 @@ mod tests {
         fn below(&mut self, n: usize) -> usize {
             (self.next_u64() % n as u64) as usize
         }
-    }
-
-    fn oracle() -> ExactBackend {
-        ExactBackend::new(22, 64)
     }
 
     #[test]
@@ -1631,7 +1625,7 @@ mod tests {
         let defects = [3usize, 4, 5, 6, 7];
         let m = AltTreeBackend::new().decode_defects(&g, &defects);
         assert!(m.is_perfect(defects.len()));
-        let exact = oracle().decode_defects(&g, &defects);
+        let exact = ExactBackend::default().decode_defects(&g, &defects);
         assert_close(m.total_cost(), exact.total_cost(), "zero stretch");
         let zero_pairs = m.pairs.iter().filter(|p| p.cost <= ZERO_EPS).count();
         assert!(zero_pairs >= 2, "expected free pre-pairs, got {zero_pairs}");
@@ -1649,7 +1643,7 @@ mod tests {
         let defects = [0usize, 1, 2, 3, 4];
         let m = AltTreeBackend::new().decode_defects(&g, &defects);
         assert!(m.is_perfect(5));
-        let exact = oracle().decode_defects(&g, &defects);
+        let exact = ExactBackend::default().decode_defects(&g, &defects);
         assert_close(m.total_cost(), exact.total_cost(), "5-cycle blossom");
         // Two unit pairs + one boundary escape.
         assert_close(m.total_cost(), 12.0, "5-cycle value");
@@ -1670,7 +1664,7 @@ mod tests {
         for defects in [vec![0usize, 1, 2], vec![0, 1, 2, 3], vec![0, 1, 2, 4, 5]] {
             let m = AltTreeBackend::new().decode_defects(&g, &defects);
             assert!(m.is_perfect(defects.len()), "defects {defects:?}");
-            let exact = oracle().decode_defects(&g, &defects);
+            let exact = ExactBackend::default().decode_defects(&g, &defects);
             assert_close(
                 m.total_cost(),
                 exact.total_cost(),
@@ -1683,7 +1677,7 @@ mod tests {
     fn random_lines_match_oracle_weight() {
         let mut rng = Lcg(0x5eed_a17e);
         let mut tree = AltTreeBackend::new();
-        let mut exact = oracle();
+        let mut exact = ExactBackend::default();
         for round in 0..120 {
             let len = 2 + rng.below(14);
             let weights: Vec<f64> = (0..len).map(|_| 0.05 + rng.uniform() * 2.0).collect();
@@ -1708,7 +1702,7 @@ mod tests {
     fn random_ladders_match_oracle_weight() {
         let mut rng = Lcg(0xba5e_ba11);
         let mut tree = AltTreeBackend::new();
-        let mut exact = oracle();
+        let mut exact = ExactBackend::default();
         for round in 0..80 {
             let cols = 3 + rng.below(7);
             let n = cols * 2;
@@ -1743,7 +1737,7 @@ mod tests {
     fn tie_heavy_integer_weights_match_oracle_weight() {
         let mut rng = Lcg(0x0dd5_eed5);
         let mut tree = AltTreeBackend::new();
-        let mut exact = oracle();
+        let mut exact = ExactBackend::default();
         for round in 0..150 {
             let n = 4 + rng.below(10);
             let mut g = SyndromeGraph::new(n);
@@ -1934,7 +1928,7 @@ mod tests {
         for defects in [vec![2usize, 2], vec![3, 1, 3, 0], vec![4, 1, 1, 1]] {
             let m = AltTreeBackend::new().decode_defects(&g, &defects);
             assert!(m.is_perfect(defects.len()), "defects {defects:?}");
-            let exact = oracle().decode_defects(&g, &defects);
+            let exact = ExactBackend::default().decode_defects(&g, &defects);
             assert_close(m.total_cost(), exact.total_cost(), "repeated vertices");
             assert!(
                 m.pairs

@@ -5,8 +5,8 @@
 //! from every defect over the sparse [`SyndromeGraph`], decompose the
 //! defects into independent clusters, and solve each cluster with a dense
 //! matcher.  The cost is `O(k · E log V)` for the searches plus the dense
-//! solve — the cubic-ish bottleneck the union-find backend
-//! ([`crate::UnionFindDecoder`]) exists to avoid.
+//! solve — the bottleneck the sparse backends ([`crate::AltTreeBackend`],
+//! [`crate::UnionFindDecoder`]) avoid.
 //!
 //! Both backends honour the [`crate::DecoderBackend`] scratch contract:
 //! the Dijkstra distance array, its validity stamps and the search heap
@@ -150,15 +150,21 @@ fn dijkstra(
 
 /// Shared dense decoding driver: all-pairs defect costs via Dijkstra,
 /// cluster decomposition, then `solve` on each cluster's dense problem.
+///
+/// # Errors
+///
+/// Returns the size of the first cluster with more than `max_cluster`
+/// defects, before solving any cluster.
 fn decode_dense(
     graph: &SyndromeGraph,
     defects: &[usize],
     scratch: &mut DijkstraScratch,
+    max_cluster: usize,
     solve: impl Fn(&MatchingProblem) -> crate::Matching,
-) -> DefectMatching {
+) -> Result<DefectMatching, usize> {
     let k = defects.len();
     if k == 0 {
-        return DefectMatching::default();
+        return Ok(DefectMatching::default());
     }
     let costs: Vec<DefectCosts> = (0..k)
         .map(|i| dijkstra(graph, defects, i, scratch))
@@ -205,6 +211,9 @@ fn decode_dense(
         let root = find(&mut parent, i);
         clusters.entry(root).or_default().push(i);
     }
+    if let Some(members) = clusters.values().find(|m| m.len() > max_cluster) {
+        return Err(members.len());
+    }
 
     let mut out = DefectMatching {
         num_clusters: clusters.len(),
@@ -244,52 +253,65 @@ fn decode_dense(
             }
         }
     }
-    out
+    Ok(out)
 }
 
-/// The exact MWPM backend: per-cluster bitmask dynamic programming
-/// ([`ExactMatcher`]) with a [`RefinedGreedyMatcher`] fallback for clusters
-/// too large for the exponential DP.
+/// The exact MWPM test oracle: per-cluster bitmask dynamic programming
+/// ([`ExactMatcher`]) on clusters of up to
+/// [`ExactMatcher::DEFAULT_MAX_NODES`] defects.
 ///
-/// This is the test oracle and the default decoding backend; it plays the
-/// role Kolmogorov's Blossom V plays in the paper.  Select it with
-/// [`crate::MatcherKind::Exact`].
-#[derive(Debug, Clone)]
+/// It is not a selectable decoder: the exponential DP cannot serve large
+/// clusters, and it never substitutes a heuristic for them.  Use
+/// [`ExactBackend::try_decode`] to skip instances whose clusters are too
+/// large; [`DecoderBackend::decode_defects`] panics on them instead.
+#[derive(Debug, Clone, Default)]
 pub struct ExactBackend {
-    /// Clusters with at most this many defects are matched exactly; larger
-    /// clusters fall back to the refined greedy matcher.
-    pub exact_threshold: usize,
-    /// Maximum 2-opt improvement sweeps of the fallback matcher.
-    pub refine_rounds: usize,
     scratch: DijkstraScratch,
 }
 
 impl ExactBackend {
-    /// Creates the backend with explicit tuning knobs.
-    pub fn new(exact_threshold: usize, refine_rounds: usize) -> Self {
-        Self {
-            exact_threshold,
-            refine_rounds,
-            scratch: DijkstraScratch::default(),
-        }
+    /// Decodes `defects` exactly, or returns `None` when some independent
+    /// cluster has more than [`ExactMatcher::DEFAULT_MAX_NODES`] defects.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the instance is infeasible, like
+    /// [`DecoderBackend::decode_defects`].
+    pub fn try_decode(
+        &mut self,
+        graph: &SyndromeGraph,
+        defects: &[usize],
+    ) -> Option<DefectMatching> {
+        self.decode(graph, defects).ok()
     }
-}
 
-impl Default for ExactBackend {
-    fn default() -> Self {
-        Self::new(16, 64)
+    /// Decodes exactly, or returns the size of the first oversize cluster.
+    fn decode(
+        &mut self,
+        graph: &SyndromeGraph,
+        defects: &[usize],
+    ) -> Result<DefectMatching, usize> {
+        let dp = ExactMatcher::default();
+        decode_dense(
+            graph,
+            defects,
+            &mut self.scratch,
+            dp.max_nodes(),
+            |problem| dp.solve(problem),
+        )
     }
 }
 
 impl DecoderBackend for ExactBackend {
+    /// # Panics
+    ///
+    /// Also panics when a cluster exceeds the DP's node limit.
     fn decode_defects(&mut self, graph: &SyndromeGraph, defects: &[usize]) -> DefectMatching {
-        let (exact_threshold, refine_rounds) = (self.exact_threshold, self.refine_rounds);
-        decode_dense(graph, defects, &mut self.scratch, |problem| {
-            if problem.num_nodes() <= exact_threshold {
-                ExactMatcher::with_max_nodes(exact_threshold.max(1)).solve(problem)
-            } else {
-                RefinedGreedyMatcher::with_max_rounds(refine_rounds).solve(problem)
-            }
+        self.decode(graph, defects).unwrap_or_else(|size| {
+            panic!(
+                "exact oracle limited to clusters of {} defects, got a cluster of {size}",
+                ExactMatcher::DEFAULT_MAX_NODES
+            )
         })
     }
 
@@ -299,42 +321,24 @@ impl DecoderBackend for ExactBackend {
 }
 
 /// The greedy backend: per-cluster radius-sweep greedy matching
-/// ([`GreedyMatcher`](crate::GreedyMatcher)) followed by a bounded 2-opt
-/// repair pass, the
-/// decoding-grade version of the paper's hardware decoder strategy
-/// (Sec. VI-B).  The repair pass is what lets the backend correct every
-/// sub-`d/2` error chain — the raw sweep strands a chain's far event on the
-/// boundary whenever the near event sits closer to a boundary than to its
-/// partner.  Select it with [`crate::MatcherKind::Greedy`].
-#[derive(Debug, Clone)]
+/// ([`GreedyMatcher`](crate::GreedyMatcher)) followed by a 2-opt repair
+/// pass ([`RefinedGreedyMatcher`], at most 64 sweeps), the decoding-grade version of the paper's hardware decoder
+/// strategy (Sec. VI-B).  The repair pass is what lets the backend correct
+/// every sub-`d/2` error chain — the raw sweep strands a chain's far event
+/// on the boundary whenever the near event sits closer to a boundary than
+/// to its partner.  Select it with [`crate::MatcherKind::Greedy`].
+#[derive(Debug, Clone, Default)]
 pub struct GreedyBackend {
-    /// Maximum 2-opt repair sweeps after the greedy initialisation.
-    pub repair_rounds: usize,
     scratch: DijkstraScratch,
-}
-
-impl GreedyBackend {
-    /// Creates the backend with an explicit repair-sweep bound.
-    pub fn new(repair_rounds: usize) -> Self {
-        Self {
-            repair_rounds,
-            scratch: DijkstraScratch::default(),
-        }
-    }
-}
-
-impl Default for GreedyBackend {
-    fn default() -> Self {
-        Self::new(8)
-    }
 }
 
 impl DecoderBackend for GreedyBackend {
     fn decode_defects(&mut self, graph: &SyndromeGraph, defects: &[usize]) -> DefectMatching {
-        let repair_rounds = self.repair_rounds;
-        decode_dense(graph, defects, &mut self.scratch, |problem| {
-            RefinedGreedyMatcher::with_max_rounds(repair_rounds).solve(problem)
+        let repair = RefinedGreedyMatcher::default();
+        decode_dense(graph, defects, &mut self.scratch, usize::MAX, |problem| {
+            repair.solve(problem)
         })
+        .expect("the greedy backend accepts clusters of any size")
     }
 
     fn name(&self) -> &'static str {
@@ -388,6 +392,23 @@ mod tests {
         assert!(exact.is_perfect(4));
         assert!(greedy.is_perfect(4));
         assert!(exact.total_cost() <= greedy.total_cost() + 1e-12);
+    }
+
+    /// A cluster beyond the DP's node limit is refused, never approximated.
+    #[test]
+    fn oversize_cluster_yields_none_and_decode_panics() {
+        let g = SyndromeGraph::line(&[0.1; 40], 100.0);
+        let fits: Vec<usize> = (0..ExactMatcher::DEFAULT_MAX_NODES).collect();
+        let too_big: Vec<usize> = (0..=ExactMatcher::DEFAULT_MAX_NODES + 1).collect();
+        let mut oracle = ExactBackend::default();
+        let m = oracle.try_decode(&g, &fits).expect("fits the DP");
+        assert!(m.is_perfect(fits.len()));
+        assert_eq!(m.num_clusters, 1);
+        assert!(oracle.try_decode(&g, &too_big).is_none());
+        let panic = std::panic::catch_unwind(move || oracle.decode_defects(&g, &too_big))
+            .expect_err("oversize cluster must panic");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("got a cluster of 24"), "{message}");
     }
 
     #[test]

@@ -7,9 +7,9 @@ use crate::{MatchTarget, Matcher, Matching, MatchingProblem};
 /// The matcher enumerates assignments with a bitmask dynamic program over
 /// subsets of nodes: `dp[mask]` is the minimum cost of matching the nodes in
 /// `mask` among themselves and the boundary.  Complexity is `O(2ⁿ · n)`,
-/// practical up to `n ≈ 22`.  It plays the role Kolmogorov's Blossom V plays
-/// in the paper for small decoding instances, and it is the oracle the
-/// approximate matchers are property-tested against.
+/// practical up to `n ≈ 22`.  It is the oracle the other matchers are
+/// tested against: weight equality for the exact tree backend, a one-sided
+/// bound for the greedy family.
 #[derive(Debug, Clone, Copy)]
 pub struct ExactMatcher {
     max_nodes: usize,

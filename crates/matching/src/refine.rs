@@ -1,4 +1,4 @@
-//! Local-improvement matcher and the automatic matcher selector.
+//! Local-improvement matcher: greedy initialisation plus 2-opt repair.
 
 use crate::{GreedyMatcher, MatchTarget, Matcher, Matching, MatchingProblem};
 
@@ -15,10 +15,10 @@ use crate::{GreedyMatcher, MatchTarget, Matcher, Matching, MatchingProblem};
 /// * **pair break** — split a pair `(a,b)` into two boundary matches;
 /// * **boundary merge** — join two boundary-matched nodes into a pair.
 ///
-/// This recovers the optimum on the vast majority of decoding instances (it
-/// is property-tested against [`crate::ExactMatcher`] on random instances)
-/// and plays the role of Blossom V for large syndromes in this reproduction;
-/// see DESIGN.md for the substitution rationale.
+/// This recovers the optimum on most small decoding instances (it is
+/// property-tested against [`crate::ExactMatcher`] on random instances) but
+/// is not exact in general: it is the repair pass of the greedy backend
+/// ([`crate::GreedyBackend`]), never a stand-in for exact matching.
 #[derive(Debug, Clone, Copy)]
 pub struct RefinedGreedyMatcher {
     /// Maximum number of improvement sweeps over the current matching.
@@ -196,49 +196,6 @@ impl Matcher for RefinedGreedyMatcher {
     }
 }
 
-/// Selects the exact matcher for small instances and the refined greedy
-/// matcher for large ones.
-#[derive(Debug, Clone, Copy)]
-pub struct AutoMatcher {
-    /// Instances with at most this many nodes are solved exactly.
-    pub exact_threshold: usize,
-    /// The refined matcher used above the threshold.
-    pub refined: RefinedGreedyMatcher,
-}
-
-impl Default for AutoMatcher {
-    fn default() -> Self {
-        Self {
-            exact_threshold: 16,
-            refined: RefinedGreedyMatcher::default(),
-        }
-    }
-}
-
-impl AutoMatcher {
-    /// Creates an automatic matcher with an explicit exact-solver threshold.
-    pub fn with_exact_threshold(exact_threshold: usize) -> Self {
-        Self {
-            exact_threshold,
-            ..Self::default()
-        }
-    }
-}
-
-impl Matcher for AutoMatcher {
-    fn solve(&self, problem: &MatchingProblem) -> Matching {
-        if problem.num_nodes() <= self.exact_threshold {
-            crate::ExactMatcher::with_max_nodes(self.exact_threshold.max(1)).solve(problem)
-        } else {
-            self.refined.solve(problem)
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "auto"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,27 +230,6 @@ mod tests {
         let g = GreedyMatcher::new().solve(&p).total_cost(&p);
         let r = RefinedGreedyMatcher::default().solve(&p).total_cost(&p);
         assert!(r <= g + 1e-12);
-    }
-
-    #[test]
-    fn auto_matcher_uses_exact_below_threshold() {
-        let p = MatchingProblem::from_fn(6, |i, j| (i + j) as f64, |_| 3.0);
-        let auto = AutoMatcher::default().solve(&p);
-        let exact = ExactMatcher::default().solve(&p);
-        assert!((auto.total_cost(&p) - exact.total_cost(&p)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auto_matcher_handles_large_instances() {
-        let n = 60;
-        let p = MatchingProblem::from_fn(
-            n,
-            |i, j| ((i as f64 - j as f64).abs()).sqrt() + 0.1,
-            |i| 2.0 + (i % 5) as f64,
-        );
-        let m = AutoMatcher::default().solve(&p);
-        assert!(m.is_complete());
-        assert!(m.total_cost(&p).is_finite());
     }
 
     #[test]
@@ -377,23 +313,6 @@ mod tests {
             let refined = refined_m.total_cost(&p);
             assert!(refined >= exact - 1e-9);
             assert!(refined <= greedy + 1e-9);
-        }
-    }
-
-    /// The automatic matcher is exactly optimal whenever the instance
-    /// fits under its exact-solver threshold.
-    #[test]
-    fn auto_is_optimal_below_threshold() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x53);
-        for _ in 0..PROPERTY_CASES {
-            let positions = random_positions(&mut rng, 1..13, 100.0);
-            let p = line_instance(&positions, 100.0);
-            let exact = ExactMatcher::default().solve(&p).total_cost(&p);
-            let auto = AutoMatcher::default().solve(&p).total_cost(&p);
-            assert!(
-                (auto - exact).abs() < 1e-9,
-                "auto {auto} vs exact {exact} on {positions:?}"
-            );
         }
     }
 

@@ -24,7 +24,7 @@
 //! |---|---|
 //! | [`lattice`] | planar surface-code geometry, matching graphs, code deformation |
 //! | [`noise`] | stochastic Pauli noise, anomalous regions, cosmic-ray process |
-//! | [`matching`] | exact, greedy and refined matching engines |
+//! | [`matching`] | exact (alternating-tree), greedy and union-find matching backends |
 //! | [`decoder`] | space-time decoders, anomaly-aware weights, re-execution |
 //! | [`anomaly`] | the statistical anomaly-detection unit |
 //! | [`sim`] | Monte-Carlo memory and detection experiments |
@@ -88,7 +88,7 @@ pub use q3de_control as control;
 pub use q3de_decoder as decoder;
 /// Planar surface-code geometry, matching graphs and code deformation.
 pub use q3de_lattice as lattice;
-/// Matching engines (exact, greedy, refined).
+/// Matching backends (exact alternating-tree, greedy, union-find).
 pub use q3de_matching as matching;
 /// Stochastic Pauli noise, anomalous regions and the cosmic-ray process.
 pub use q3de_noise as noise;

@@ -52,7 +52,7 @@ impl PipelineConfig {
             assumed_anomalous_rate: 0.5,
             assumed_anomaly_size: 4,
             expansion_keep_cycles: 25_000,
-            matcher: MatcherKind::Exact,
+            matcher: MatcherKind::default(),
             logical_id: LogicalQubitId(0),
         }
     }

