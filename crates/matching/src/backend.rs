@@ -258,7 +258,7 @@ fn decode_dense(
 
 /// The exact MWPM test oracle: per-cluster bitmask dynamic programming
 /// ([`ExactMatcher`]) on clusters of up to
-/// [`ExactMatcher::DEFAULT_MAX_NODES`] defects.
+/// [`ExactMatcher::MAX_NODES`] defects.
 ///
 /// It is not a selectable decoder: the exponential DP cannot serve large
 /// clusters, and it never substitutes a heuristic for them.  Use
@@ -271,7 +271,7 @@ pub struct ExactBackend {
 
 impl ExactBackend {
     /// Decodes `defects` exactly, or returns `None` when some independent
-    /// cluster has more than [`ExactMatcher::DEFAULT_MAX_NODES`] defects.
+    /// cluster has more than [`ExactMatcher::MAX_NODES`] defects.
     ///
     /// # Panics
     ///
@@ -291,13 +291,12 @@ impl ExactBackend {
         graph: &SyndromeGraph,
         defects: &[usize],
     ) -> Result<DefectMatching, usize> {
-        let dp = ExactMatcher::default();
         decode_dense(
             graph,
             defects,
             &mut self.scratch,
-            dp.max_nodes(),
-            |problem| dp.solve(problem),
+            ExactMatcher::MAX_NODES,
+            |problem| ExactMatcher.solve(problem),
         )
     }
 }
@@ -310,7 +309,7 @@ impl DecoderBackend for ExactBackend {
         self.decode(graph, defects).unwrap_or_else(|size| {
             panic!(
                 "exact oracle limited to clusters of {} defects, got a cluster of {size}",
-                ExactMatcher::DEFAULT_MAX_NODES
+                ExactMatcher::MAX_NODES
             )
         })
     }
@@ -334,9 +333,8 @@ pub struct GreedyBackend {
 
 impl DecoderBackend for GreedyBackend {
     fn decode_defects(&mut self, graph: &SyndromeGraph, defects: &[usize]) -> DefectMatching {
-        let repair = RefinedGreedyMatcher::default();
         decode_dense(graph, defects, &mut self.scratch, usize::MAX, |problem| {
-            repair.solve(problem)
+            RefinedGreedyMatcher.solve(problem)
         })
         .expect("the greedy backend accepts clusters of any size")
     }
@@ -398,8 +396,8 @@ mod tests {
     #[test]
     fn oversize_cluster_yields_none_and_decode_panics() {
         let g = SyndromeGraph::line(&[0.1; 40], 100.0);
-        let fits: Vec<usize> = (0..ExactMatcher::DEFAULT_MAX_NODES).collect();
-        let too_big: Vec<usize> = (0..=ExactMatcher::DEFAULT_MAX_NODES + 1).collect();
+        let fits: Vec<usize> = (0..ExactMatcher::MAX_NODES).collect();
+        let too_big: Vec<usize> = (0..=ExactMatcher::MAX_NODES + 1).collect();
         let mut oracle = ExactBackend::default();
         let m = oracle.try_decode(&g, &fits).expect("fits the DP");
         assert!(m.is_perfect(fits.len()));

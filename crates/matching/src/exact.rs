@@ -10,24 +10,12 @@ use crate::{MatchTarget, Matcher, Matching, MatchingProblem};
 /// practical up to `n ≈ 22`.  It is the oracle the other matchers are
 /// tested against: weight equality for the exact tree backend, a one-sided
 /// bound for the greedy family.
-#[derive(Debug, Clone, Copy)]
-pub struct ExactMatcher {
-    max_nodes: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactMatcher;
 
 impl ExactMatcher {
-    /// Default node-count limit beyond which [`ExactMatcher::solve`] panics.
-    pub const DEFAULT_MAX_NODES: usize = 22;
-
-    /// Creates an exact matcher that accepts at most `max_nodes` nodes.
-    pub fn with_max_nodes(max_nodes: usize) -> Self {
-        Self { max_nodes }
-    }
-
-    /// The configured node-count limit.
-    pub fn max_nodes(&self) -> usize {
-        self.max_nodes
-    }
+    /// Node-count limit beyond which [`ExactMatcher::solve`] panics.
+    pub const MAX_NODES: usize = 22;
 
     /// Returns the optimal cost without materialising the matching.
     pub fn optimal_cost(&self, problem: &MatchingProblem) -> f64 {
@@ -38,9 +26,9 @@ impl ExactMatcher {
     fn dp(&self, problem: &MatchingProblem) -> (f64, Vec<MatchTarget>) {
         let n = problem.num_nodes();
         assert!(
-            n <= self.max_nodes,
+            n <= Self::MAX_NODES,
             "exact matcher limited to {} nodes, got {n}",
-            self.max_nodes
+            Self::MAX_NODES
         );
         if n == 0 {
             return (0.0, Vec::new());
@@ -106,18 +94,12 @@ impl ExactMatcher {
     }
 }
 
-impl Default for ExactMatcher {
-    fn default() -> Self {
-        Self::with_max_nodes(Self::DEFAULT_MAX_NODES)
-    }
-}
-
 impl Matcher for ExactMatcher {
     /// Solves the problem exactly.
     ///
     /// # Panics
     ///
-    /// Panics if the problem has more than [`ExactMatcher::max_nodes`] nodes
+    /// Panics if the problem has more than [`ExactMatcher::MAX_NODES`] nodes
     /// or if no finite-cost complete matching exists.
     fn solve(&self, problem: &MatchingProblem) -> Matching {
         let (_, assignment) = self.dp(problem);
@@ -140,7 +122,7 @@ mod tests {
     #[test]
     fn empty_problem_has_empty_matching() {
         let p = MatchingProblem::new(0);
-        let m = ExactMatcher::default().solve(&p);
+        let m = ExactMatcher.solve(&p);
         assert!(m.is_empty());
         assert_eq!(m.total_cost(&p), 0.0);
     }
@@ -149,7 +131,7 @@ mod tests {
     fn single_node_goes_to_boundary() {
         let mut p = MatchingProblem::new(1);
         p.set_boundary_cost(0, 2.0);
-        let m = ExactMatcher::default().solve(&p);
+        let m = ExactMatcher.solve(&p);
         assert_eq!(m.target(0), MatchTarget::Boundary);
         assert_eq!(m.total_cost(&p), 2.0);
     }
@@ -160,7 +142,7 @@ mod tests {
         p.set_pair_cost(0, 1, 1.0);
         p.set_boundary_cost(0, 10.0);
         p.set_boundary_cost(1, 10.0);
-        let m = ExactMatcher::default().solve(&p);
+        let m = ExactMatcher.solve(&p);
         assert_eq!(m.target(0), MatchTarget::Node(1));
         assert_eq!(m.total_cost(&p), 1.0);
     }
@@ -171,7 +153,7 @@ mod tests {
         p.set_pair_cost(0, 1, 10.0);
         p.set_boundary_cost(0, 1.0);
         p.set_boundary_cost(1, 1.0);
-        let m = ExactMatcher::default().solve(&p);
+        let m = ExactMatcher.solve(&p);
         assert_eq!(m.target(0), MatchTarget::Boundary);
         assert_eq!(m.target(1), MatchTarget::Boundary);
         assert_eq!(m.total_cost(&p), 2.0);
@@ -187,7 +169,7 @@ mod tests {
         p.set_boundary_cost(0, 4.0);
         p.set_boundary_cost(1, 4.0);
         p.set_boundary_cost(2, 1.5);
-        let m = ExactMatcher::default().solve(&p);
+        let m = ExactMatcher.solve(&p);
         assert_eq!(m.target(0), MatchTarget::Node(1));
         assert_eq!(m.target(2), MatchTarget::Boundary);
         assert!((m.total_cost(&p) - 2.5).abs() < 1e-12);
@@ -207,7 +189,7 @@ mod tests {
         for i in 0..4 {
             p.set_boundary_cost(i, 10.0);
         }
-        let m = ExactMatcher::default().solve(&p);
+        let m = ExactMatcher.solve(&p);
         assert_eq!(m.target(0), MatchTarget::Node(1));
         assert_eq!(m.target(2), MatchTarget::Node(3));
         assert!((m.total_cost(&p) - 4.0).abs() < 1e-12);
@@ -216,7 +198,7 @@ mod tests {
     #[test]
     fn odd_number_of_nodes_uses_boundary_at_least_once() {
         let p = uniform_problem(5, 0.7);
-        let m = ExactMatcher::default().solve(&p);
+        let m = ExactMatcher.solve(&p);
         assert!(m.is_complete());
         assert!(m.boundary_nodes().count() % 2 == 1);
     }
@@ -224,7 +206,7 @@ mod tests {
     #[test]
     fn cost_matches_optimal_cost_helper() {
         let p = uniform_problem(8, 1.3);
-        let matcher = ExactMatcher::default();
+        let matcher = ExactMatcher;
         let m = matcher.solve(&p);
         assert!((m.total_cost(&p) - matcher.optimal_cost(&p)).abs() < 1e-12);
     }
@@ -234,13 +216,13 @@ mod tests {
     fn infeasible_problem_panics() {
         // single node with no boundary option
         let p = MatchingProblem::new(1);
-        let _ = ExactMatcher::default().solve(&p);
+        let _ = ExactMatcher.solve(&p);
     }
 
     #[test]
     #[should_panic(expected = "limited to")]
     fn too_many_nodes_panics() {
-        let p = MatchingProblem::new(5);
-        let _ = ExactMatcher::with_max_nodes(4).solve(&p);
+        let p = MatchingProblem::new(ExactMatcher::MAX_NODES + 1);
+        let _ = ExactMatcher.solve(&p);
     }
 }

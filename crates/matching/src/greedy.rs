@@ -154,7 +154,7 @@ mod tests {
             p.set_boundary_cost(i, 10.0);
         }
         let greedy = GreedyMatcher::new().solve(&p);
-        let exact = ExactMatcher::default().solve(&p);
+        let exact = ExactMatcher.solve(&p);
         assert!(greedy.total_cost(&p) > exact.total_cost(&p));
         assert_eq!(greedy.total_cost(&p), 21.0); // 1–2 pair + two boundary matches
     }
@@ -211,7 +211,7 @@ mod tests {
         let positions = [0.0f64, 1.0, 5.0, 6.0];
         let p = MatchingProblem::from_fn(4, |i, j| (positions[i] - positions[j]).abs(), |_| 10.0);
         let g = GreedyMatcher::new().solve(&p);
-        let e = ExactMatcher::default().solve(&p);
+        let e = ExactMatcher.solve(&p);
         assert_eq!(
             g.pairs().collect::<Vec<_>>(),
             vec![(0, 1), (2, 3)],

@@ -22,7 +22,7 @@
 //!   approximate baseline,
 //! * [`ExactBackend`] — the test oracle: exact matching by bitmask dynamic
 //!   programming ([`ExactMatcher`]) on each independent cluster of up to
-//!   [`ExactMatcher::DEFAULT_MAX_NODES`] defects, with no heuristic
+//!   [`ExactMatcher::MAX_NODES`] defects, with no heuristic
 //!   fallback beyond that.
 //!
 //! The dense matchers implement the [`Matcher`] trait and operate on a
@@ -39,7 +39,7 @@
 //! problem.set_pair_cost(0, 1, 1.0);
 //! problem.set_boundary_cost(0, 10.0);
 //! problem.set_boundary_cost(1, 10.0);
-//! let matching = ExactMatcher::default().solve(&problem);
+//! let matching = ExactMatcher.solve(&problem);
 //! assert_eq!(matching.target(0), MatchTarget::Node(1));
 //! assert!((matching.total_cost(&problem) - 1.0).abs() < 1e-12);
 //! ```
@@ -178,9 +178,9 @@ mod trait_tests {
     #[test]
     fn matchers_are_object_safe() {
         let matchers: Vec<Box<dyn Matcher>> = vec![
-            Box::new(ExactMatcher::default()),
+            Box::new(ExactMatcher),
             Box::new(GreedyMatcher::default()),
-            Box::new(RefinedGreedyMatcher::default()),
+            Box::new(RefinedGreedyMatcher),
         ];
         let mut problem = MatchingProblem::new(2);
         problem.set_pair_cost(0, 1, 1.0);

@@ -19,22 +19,23 @@ use crate::{GreedyMatcher, MatchTarget, Matcher, Matching, MatchingProblem};
 /// property-tested against [`crate::ExactMatcher`] on random instances) but
 /// is not exact in general: it is the repair pass of the greedy backend
 /// ([`crate::GreedyBackend`]), never a stand-in for exact matching.
-#[derive(Debug, Clone, Copy)]
-pub struct RefinedGreedyMatcher {
-    /// Maximum number of improvement sweeps over the current matching.
-    pub max_rounds: usize,
-}
-
-impl Default for RefinedGreedyMatcher {
-    fn default() -> Self {
-        Self { max_rounds: 64 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RefinedGreedyMatcher;
 
 impl RefinedGreedyMatcher {
-    /// Creates a matcher with an explicit sweep limit.
-    pub fn with_max_rounds(max_rounds: usize) -> Self {
-        Self { max_rounds }
+    /// Maximum number of improvement sweeps over the current matching.
+    const MAX_ROUNDS: usize = 64;
+
+    /// The greedy matching after at most `max_rounds` improvement sweeps.
+    fn refine(problem: &MatchingProblem, max_rounds: usize) -> Matching {
+        let initial = GreedyMatcher::new().solve(problem);
+        let mut assignment: Vec<MatchTarget> = initial.iter().map(|(_, t)| t).collect();
+        for _ in 0..max_rounds {
+            if !Self::improve_once(problem, &mut assignment) {
+                break;
+            }
+        }
+        Matching::new(assignment)
     }
 
     /// One improvement sweep.  Returns `true` if the matching changed.
@@ -181,14 +182,7 @@ impl RefinedGreedyMatcher {
 
 impl Matcher for RefinedGreedyMatcher {
     fn solve(&self, problem: &MatchingProblem) -> Matching {
-        let initial = GreedyMatcher::new().solve(problem);
-        let mut assignment: Vec<MatchTarget> = initial.iter().map(|(_, t)| t).collect();
-        for _ in 0..self.max_rounds {
-            if !Self::improve_once(problem, &mut assignment) {
-                break;
-            }
-        }
-        Matching::new(assignment)
+        Self::refine(problem, Self::MAX_ROUNDS)
     }
 
     fn name(&self) -> &'static str {
@@ -215,8 +209,8 @@ mod tests {
         for i in 0..4 {
             p.set_boundary_cost(i, 10.0);
         }
-        let refined = RefinedGreedyMatcher::default().solve(&p);
-        let exact = ExactMatcher::default().solve(&p);
+        let refined = RefinedGreedyMatcher.solve(&p);
+        let exact = ExactMatcher.solve(&p);
         assert!((refined.total_cost(&p) - exact.total_cost(&p)).abs() < 1e-9);
     }
 
@@ -228,7 +222,7 @@ mod tests {
             |i| ((i * 5) % 7) as f64 + 1.0,
         );
         let g = GreedyMatcher::new().solve(&p).total_cost(&p);
-        let r = RefinedGreedyMatcher::default().solve(&p).total_cost(&p);
+        let r = RefinedGreedyMatcher.solve(&p).total_cost(&p);
         assert!(r <= g + 1e-12);
     }
 
@@ -236,7 +230,7 @@ mod tests {
     fn zero_round_refinement_equals_greedy() {
         let p = MatchingProblem::from_fn(7, |i, j| ((i * j) % 5) as f64 + 1.0, |_| 2.0);
         let g = GreedyMatcher::new().solve(&p);
-        let r = RefinedGreedyMatcher::with_max_rounds(0).solve(&p);
+        let r = RefinedGreedyMatcher::refine(&p, 0);
         assert_eq!(g.total_cost(&p), r.total_cost(&p));
     }
 
@@ -271,9 +265,9 @@ mod tests {
         for _ in 0..PROPERTY_CASES {
             let positions = random_positions(&mut rng, 1..10, 100.0);
             let p = line_instance(&positions, 100.0);
-            let exact = ExactMatcher::default().solve(&p).total_cost(&p);
+            let exact = ExactMatcher.solve(&p).total_cost(&p);
             let greedy = GreedyMatcher::new().solve(&p).total_cost(&p);
-            let refined = RefinedGreedyMatcher::default().solve(&p).total_cost(&p);
+            let refined = RefinedGreedyMatcher.solve(&p).total_cost(&p);
             assert!(
                 refined >= exact - 1e-9,
                 "refined {refined} below exact {exact}"
@@ -306,9 +300,9 @@ mod tests {
                 |i, j| seed_costs[i * n + j].min(seed_costs[j * n + i]),
                 |i| boundary[i],
             );
-            let exact = ExactMatcher::default().solve(&p).total_cost(&p);
+            let exact = ExactMatcher.solve(&p).total_cost(&p);
             let greedy = GreedyMatcher::new().solve(&p).total_cost(&p);
-            let refined_m = RefinedGreedyMatcher::default().solve(&p);
+            let refined_m = RefinedGreedyMatcher.solve(&p);
             assert!(refined_m.is_complete());
             let refined = refined_m.total_cost(&p);
             assert!(refined >= exact - 1e-9);
@@ -323,7 +317,7 @@ mod tests {
         for _ in 0..PROPERTY_CASES {
             let positions = random_positions(&mut rng, 1..12, 50.0);
             let p = line_instance(&positions, 50.0);
-            let exact = ExactMatcher::default().solve(&p).total_cost(&p);
+            let exact = ExactMatcher.solve(&p).total_cost(&p);
             let greedy_m = GreedyMatcher::new().solve(&p);
             assert!(greedy_m.is_complete());
             assert!(greedy_m.total_cost(&p) >= exact - 1e-9);

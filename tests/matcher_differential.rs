@@ -1,5 +1,5 @@
-//! Differential test: the exact alternating-tree backend (the default
-//! decoder) vs the bitmask-DP oracle, and the approximate union-find
+//! Differential test: the default decoder (the exact alternating-tree
+//! backend) vs the bitmask-DP oracle, and the approximate union-find
 //! backend vs the tree, on seeded random syndrome streams.
 //!
 //! The tree backend is exact, so it is pinned by *total matching weight*:
@@ -11,9 +11,11 @@
 //!
 //! The union-find decoder must return a *valid perfect matching* of the
 //! detection events (each event in exactly one pair or boundary match),
-//! and over 200 streams per distance its logical error rate must stay
-//! within 2x of the tree's on the very same streams (judged on 95% Wilson
-//! intervals).
+//! and its logical failures over 3000 streams must number at most twice
+//! the tree's on the very same streams: uniform noise at d = 3, 5, 7 and
+//! burst re-weighting at d = 5 in tier-1.  Under burst re-weighting at
+//! d = 7 union-find fails 2.2x as often as the tree, so that case is an
+//! ignored test that fails until the gap closes.
 //!
 //! Streams are sampled through `MemoryExperiment::sample_history` — the same
 //! kernel every Monte-Carlo shot decodes — so the differential suite
@@ -28,28 +30,28 @@ use q3de::decoder::{
 };
 use q3de::lattice::{ErrorKind, MatchingGraph};
 use q3de::matching::{AltTreeBackend, DecoderBackend, ExactBackend, SyndromeGraph};
-use q3de::scaling::{wilson_interval, Z_95};
 use q3de::sim::{AnomalyInjection, DecodingStrategy, MemoryExperiment, MemoryExperimentConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 
+/// Streams per configuration for the weight pins (the oracle's DP is the
+/// slow part).
 const STREAMS: usize = 200;
+
+/// Streams per configuration for union-find's logical-failure bound: the
+/// exact tree fails on only a handful of 200 streams, too few for a count
+/// ratio to mean anything.
+const LER_STREAMS: usize = 3000;
+
+/// Stream `stream` of configuration `d` under `salt`.
+fn stream_rng(salt: u64, d: usize, stream: usize) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(salt ^ (d as u64 * 1_000_003 + stream as u64))
+}
 
 /// Whether two matching weights agree to the suite's relative tolerance.
 fn same_weight(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 * (1.0 + b.abs())
-}
-
-/// Whether union-find's logical error rate is within 2x of the tree's at
-/// 95% confidence: false only when union-find's Wilson lower bound exceeds
-/// twice the tree's Wilson upper bound.  The exact tree fails on only a
-/// handful of 200 streams, so a raw count ratio would mostly measure seed
-/// noise (on 3000 streams union-find measures 1.2-2.2x the tree's rate).
-fn uf_within_twice_tree(uf: usize, tree: usize) -> bool {
-    let (uf_low, _) = wilson_interval(uf, STREAMS, Z_95);
-    let (_, tree_high) = wilson_interval(tree, STREAMS, Z_95);
-    uf_low <= 2.0 * tree_high
 }
 
 /// The bitmask-DP oracle's matching weight for the window `outcome`
@@ -100,35 +102,25 @@ fn assert_valid_matching(outcome: &DecodeOutcome, who: &str) {
     }
 }
 
-/// Runs the differential comparison for one experiment configuration and
-/// returns the failure counts (tree, union-find) plus the number of
-/// streams that hit the tree-vs-oracle weight *equality* pin (every
-/// cluster small enough for the oracle's bitmask DP).
-fn differential(
-    config: MemoryExperimentConfig,
-    strategy: DecodingStrategy,
-    salt: u64,
-) -> (usize, usize, usize) {
+/// Pins the default decoder against the DP oracle on `STREAMS` streams of
+/// one experiment configuration and returns the number of streams that hit
+/// the weight *equality* pin (every cluster small enough for the DP).
+fn differential(config: MemoryExperimentConfig, strategy: DecodingStrategy, salt: u64) -> usize {
     let experiment = MemoryExperiment::new(config).expect("valid distance");
     let graph = experiment.code().matching_graph(ErrorKind::X);
     let model = experiment.weight_model(strategy);
-    let decoder =
-        |kind| SurfaceDecoder::with_config(&graph, DecoderConfig::default().with_matcher(kind));
-    let mut tree = decoder(MatcherKind::Tree);
-    let mut union_find = decoder(MatcherKind::UnionFind);
-    let mut greedy = decoder(MatcherKind::Greedy);
+    let mut tree = SurfaceDecoder::with_config(&graph, DecoderConfig::default());
+    let mut greedy = SurfaceDecoder::with_config(
+        &graph,
+        DecoderConfig::default().with_matcher(MatcherKind::Greedy),
+    );
     let mut oracle = ExactBackend::default();
-    let d = config.distance as u64;
-    let mut tree_failures = 0usize;
-    let mut uf_failures = 0usize;
+    let d = config.distance;
     let mut pinned = 0usize;
     for stream in 0..STREAMS {
-        let mut rng = ChaCha8Rng::seed_from_u64(salt ^ (d * 1_000_003 + stream as u64));
-        let (history, parity) = experiment.sample_history(strategy, &mut rng);
+        let (history, _) = experiment.sample_history(strategy, &mut stream_rng(salt, d, stream));
         let tree_out = tree.decode(&history, &model);
-        let uf_out = union_find.decode(&history, &model);
         assert_valid_matching(&tree_out, "tree");
-        assert_valid_matching(&uf_out, "union-find");
         let tw = tree_out.total_weight;
         match oracle_weight(&mut oracle, &graph, &history, &model, &tree_out) {
             Some(ow) => {
@@ -152,10 +144,44 @@ fn differential(
                 );
             }
         }
-        tree_failures += usize::from(tree_out.is_logical_failure(parity));
+    }
+    pinned
+}
+
+/// Decodes `LER_STREAMS` streams of one configuration with the tree and
+/// union-find backends and asserts that union-find's valid matchings fail
+/// at most twice as often as the tree's.
+fn assert_union_find_within_twice_tree(
+    config: MemoryExperimentConfig,
+    strategy: DecodingStrategy,
+    salt: u64,
+) {
+    let experiment = MemoryExperiment::new(config).expect("valid distance");
+    let graph = experiment.code().matching_graph(ErrorKind::X);
+    let model = experiment.weight_model(strategy);
+    let decoder =
+        |kind| SurfaceDecoder::with_config(&graph, DecoderConfig::default().with_matcher(kind));
+    let mut tree = decoder(MatcherKind::Tree);
+    let mut union_find = decoder(MatcherKind::UnionFind);
+    let d = config.distance;
+    let (mut tree_failures, mut uf_failures) = (0usize, 0usize);
+    for stream in 0..LER_STREAMS {
+        let (history, parity) =
+            experiment.sample_history(strategy, &mut stream_rng(salt, d, stream));
+        let uf_out = union_find.decode(&history, &model);
+        assert_valid_matching(&uf_out, "union-find");
+        tree_failures += usize::from(tree.decode(&history, &model).is_logical_failure(parity));
         uf_failures += usize::from(uf_out.is_logical_failure(parity));
     }
-    (tree_failures, uf_failures, pinned)
+    assert!(
+        tree_failures > 0,
+        "d={d}: exact MWPM should fail on some of {LER_STREAMS} streams"
+    );
+    assert!(
+        uf_failures <= 2 * tree_failures,
+        "d={d}: union-find failed {uf_failures}/{LER_STREAMS} vs tree \
+         {tree_failures}/{LER_STREAMS} — outside the 2x differential bound"
+    );
 }
 
 #[test]
@@ -165,45 +191,28 @@ fn union_find_tracks_exact_mwpm_on_uniform_streams() {
     let p = 2e-2;
     for d in [3usize, 5, 7] {
         let config = MemoryExperimentConfig::new(d, p);
-        let (tree, uf, pinned) = differential(config, DecodingStrategy::MbbeFree, 0xD1FF);
-        assert!(
-            tree > 0,
-            "d={d}: exact MWPM should fail on some of {STREAMS} streams at p={p}"
-        );
+        let pinned = differential(config, DecodingStrategy::MbbeFree, 0xD1FF);
         // Windows with a cluster beyond the oracle's DP only get the
         // greedy upper bound; the rest hit the equality pin.
         assert!(
             pinned * 20 >= STREAMS,
             "d={d}: only {pinned}/{STREAMS} streams hit the tree equality pin"
         );
-        assert!(
-            uf_within_twice_tree(uf, tree),
-            "d={d}: union-find failed {uf}/{STREAMS} vs tree {tree}/{STREAMS} \
-             — outside the 2x differential bound"
-        );
+        assert_union_find_within_twice_tree(config, DecodingStrategy::MbbeFree, 0xD1FF);
     }
+}
+
+/// The rollback hot path: a centred MBBE with anomaly-aware re-weighted
+/// costs at `p = 8e-3`.
+fn burst_config(d: usize) -> MemoryExperimentConfig {
+    MemoryExperimentConfig::new(d, 8e-3).with_anomaly(AnomalyInjection::centered(2, 0.5))
 }
 
 #[test]
 fn union_find_tracks_exact_mwpm_under_burst_reweighting() {
-    // The rollback hot path: a centred MBBE with anomaly-aware re-weighted
-    // costs.  Union-find must stay within 2x of exact MWPM here too.
-    let p = 8e-3;
     let mut total_pinned = 0usize;
     for d in [5usize, 7] {
-        let config =
-            MemoryExperimentConfig::new(d, p).with_anomaly(AnomalyInjection::centered(2, 0.5));
-        let (tree, uf, pinned) = differential(config, DecodingStrategy::AnomalyAware, 0xB065);
-        total_pinned += pinned;
-        assert!(
-            tree > 0,
-            "d={d}: the burst should defeat exact MWPM on some of {STREAMS} streams"
-        );
-        assert!(
-            uf_within_twice_tree(uf, tree),
-            "d={d}: union-find failed {uf}/{STREAMS} vs tree {tree}/{STREAMS} \
-             under re-weighting — outside the 2x differential bound"
-        );
+        total_pinned += differential(burst_config(d), DecodingStrategy::AnomalyAware, 0xB065);
     }
     // A full-rate burst floods d = 7 windows past the oracle's DP ceiling
     // (the greedy bound still binds on every one of them); d = 5 keeps
@@ -212,6 +221,13 @@ fn union_find_tracks_exact_mwpm_under_burst_reweighting() {
         total_pinned > 0,
         "no burst stream hit the tree equality pin"
     );
+    assert_union_find_within_twice_tree(burst_config(5), DecodingStrategy::AnomalyAware, 0xB065);
+}
+
+#[test]
+#[ignore = "open: union-find fails 2.2x as often as the tree here (55 vs 25 of 3000)"]
+fn union_find_tracks_exact_mwpm_under_burst_reweighting_at_d7() {
+    assert_union_find_within_twice_tree(burst_config(7), DecodingStrategy::AnomalyAware, 0xB065);
 }
 
 /// Samples one tie-heavy random instance: a connected sparse graph whose
@@ -309,7 +325,7 @@ fn tree_weight_equals_exact_on_mild_anomaly_streams() {
     for d in [3usize, 5, 7] {
         let config =
             MemoryExperimentConfig::new(d, p).with_anomaly(AnomalyInjection::centered(1, 0.2));
-        let (_, _, pinned) = differential(config, DecodingStrategy::AnomalyAware, 0xA0A1);
+        let pinned = differential(config, DecodingStrategy::AnomalyAware, 0xA0A1);
         assert!(
             pinned * 2 >= STREAMS,
             "d={d}: only {pinned}/{STREAMS} mild-anomaly streams hit the \
@@ -322,34 +338,10 @@ fn tree_weight_equals_exact_on_mild_anomaly_streams() {
 fn default_decoder_is_mwpm_on_blind_burst_streams() {
     // A centred full-rate burst decoded blind (uniform weights) grows
     // clusters of 17-22 events: the regime where a heuristic fallback in
-    // the default decoder would return heavier matchings than MWPM.  Pin
-    // the default configuration's weight to the oracle's on every window
-    // the oracle can solve.
+    // the default decoder would return heavier matchings than MWPM.
     let config =
         MemoryExperimentConfig::new(5, 8e-3).with_anomaly(AnomalyInjection::centered(2, 0.5));
-    let strategy = DecodingStrategy::Blind;
-    let experiment = MemoryExperiment::new(config).expect("valid distance");
-    let graph = experiment.code().matching_graph(ErrorKind::X);
-    let model = experiment.weight_model(strategy);
-    let mut decoder = SurfaceDecoder::with_config(&graph, DecoderConfig::default());
-    let mut oracle = ExactBackend::default();
-    let mut pinned = 0usize;
-    for stream in 0..STREAMS {
-        let mut rng = ChaCha8Rng::seed_from_u64(0xDEFA ^ stream as u64);
-        let (history, _) = experiment.sample_history(strategy, &mut rng);
-        let outcome = decoder.decode(&history, &model);
-        let Some(ow) = oracle_weight(&mut oracle, &graph, &history, &model, &outcome) else {
-            continue;
-        };
-        let dw = outcome.total_weight;
-        assert!(
-            same_weight(dw, ow),
-            "stream {stream}: default decoder weight {dw} != MWPM weight {ow} \
-             ({} events)",
-            outcome.num_events()
-        );
-        pinned += 1;
-    }
+    let pinned = differential(config, DecodingStrategy::Blind, 0xDEFA);
     assert!(
         pinned * 4 >= STREAMS,
         "only {pinned}/{STREAMS} blind burst streams hit the equality pin"

@@ -62,7 +62,7 @@ fn greedy_is_perfect_and_never_beats_exact() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA11CE);
     for case in 0..CASES {
         let problem = random_problem(&mut rng, 10);
-        let exact = ExactMatcher::default().solve(&problem);
+        let exact = ExactMatcher.solve(&problem);
         let greedy = GreedyMatcher::new().solve(&problem);
 
         assert_perfect(&exact, &problem, "exact");
@@ -84,9 +84,9 @@ fn refined_greedy_is_bracketed_between_exact_and_greedy() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xB0B);
     for case in 0..CASES {
         let problem = random_problem(&mut rng, 9);
-        let exact_cost = ExactMatcher::default().solve(&problem).total_cost(&problem);
+        let exact_cost = ExactMatcher.solve(&problem).total_cost(&problem);
         let greedy_cost = GreedyMatcher::new().solve(&problem).total_cost(&problem);
-        let refined = RefinedGreedyMatcher::default().solve(&problem);
+        let refined = RefinedGreedyMatcher.solve(&problem);
         assert_perfect(&refined, &problem, "refined");
         let refined_cost = refined.total_cost(&problem);
         assert!(
@@ -143,9 +143,9 @@ fn matchers_agree_on_trivial_problems() {
     // Zero defects: the empty matching, cost 0, for every engine.
     let empty = MatchingProblem::new(0);
     for (name, matching) in [
-        ("exact", ExactMatcher::default().solve(&empty)),
+        ("exact", ExactMatcher.solve(&empty)),
         ("greedy", GreedyMatcher::new().solve(&empty)),
-        ("refined", RefinedGreedyMatcher::default().solve(&empty)),
+        ("refined", RefinedGreedyMatcher.solve(&empty)),
     ] {
         assert!(
             matching.is_complete(),
@@ -157,9 +157,9 @@ fn matchers_agree_on_trivial_problems() {
     // One defect: boundary matching is the only perfect option.
     let single = MatchingProblem::from_fn(1, |_, _| 1.0, |_| 2.5);
     for (name, matching) in [
-        ("exact", ExactMatcher::default().solve(&single)),
+        ("exact", ExactMatcher.solve(&single)),
         ("greedy", GreedyMatcher::new().solve(&single)),
-        ("refined", RefinedGreedyMatcher::default().solve(&single)),
+        ("refined", RefinedGreedyMatcher.solve(&single)),
     ] {
         assert_eq!(
             matching.target(0),
@@ -356,7 +356,7 @@ fn greedy_matches_exact_when_pairing_is_forced() {
         let b1 = rng.gen_range(5.0..10.0);
         let problem =
             MatchingProblem::from_fn(2, |_, _| pair_cost, |i| if i == 0 { b0 } else { b1 });
-        let exact = ExactMatcher::default().solve(&problem);
+        let exact = ExactMatcher.solve(&problem);
         let greedy = GreedyMatcher::new().solve(&problem);
         assert_eq!(exact.target(0), MatchTarget::Node(1));
         assert_eq!(greedy.target(0), MatchTarget::Node(1));

@@ -38,11 +38,12 @@ fn first_strike(rng: &mut ChaCha8Rng) -> q3de::noise::CosmicRayEvent {
     panic!("the cosmic-ray process produced no strike in 10k cycles at p = 0.1/cycle");
 }
 
-/// Draws strikes until one lands in the bulk of the patch (the regime the
-/// paper evaluates: edge strikes barely perturb the logical qubit).
-fn first_bulk_strike(rng: &mut ChaCha8Rng) -> q3de::noise::CosmicRayEvent {
+/// Draws strikes under `params` until one lands in the bulk of the patch
+/// (the regime the paper evaluates: edge strikes barely perturb the logical
+/// qubit).
+fn first_bulk_strike(params: PhysicalParams, rng: &mut ChaCha8Rng) -> q3de::noise::CosmicRayEvent {
     let patch_center = q3de::lattice::Coord::new(6, 6);
-    let mut process = CosmicRayProcess::new(strike_params(), 13, 13);
+    let mut process = CosmicRayProcess::new(params, 13, 13);
     for _ in 0..100_000 {
         if let Some(event) = process.advance(rng) {
             if event.region.center().chebyshev(patch_center) <= 2 {
@@ -232,8 +233,14 @@ fn back_to_back_strikes_are_redecoded_together() {
 
 #[test]
 fn rollback_redecoding_beats_the_blind_baseline_on_the_same_stream() {
+    // A size-3 burst: a size-2 one leaves exact MWPM failing on only ~4%
+    // of blind shots, too few to compare the two decoders on.
+    let params = PhysicalParams {
+        anomaly_size: 3,
+        ..strike_params()
+    };
     let mut seed_rng = ChaCha8Rng::seed_from_u64(7);
-    let event = first_bulk_strike(&mut seed_rng);
+    let event = first_bulk_strike(params, &mut seed_rng);
     let size = event.region.size();
     let top_left = event
         .region
@@ -252,7 +259,7 @@ fn rollback_redecoding_beats_the_blind_baseline_on_the_same_stream() {
     // Re-seeding per shot gives both strategies the *same* physical error
     // stream; only the decoding differs.  (Blind and AnomalyAware share the
     // same noise model, so shot i draws identical samples under both.)
-    let shots = 200usize;
+    let shots = 1000usize;
     let failures = |strategy: DecodingStrategy| {
         (0..shots)
             .filter(|&shot| {
@@ -265,15 +272,13 @@ fn rollback_redecoding_beats_the_blind_baseline_on_the_same_stream() {
     let blind = failures(DecodingStrategy::Blind);
     let aware = failures(DecodingStrategy::AnomalyAware);
     assert!(
-        aware < blind,
-        "rollback re-decoding ({aware}/{shots} failures) must beat the blind \
-         baseline ({blind}/{shots} failures) on the same syndrome stream"
+        2 * aware <= blind,
+        "rollback re-decoding ({aware}/{shots} failures) must at least halve the \
+         blind baseline's failures ({blind}/{shots}) on the same syndrome stream"
     );
     // The burst must actually be doing damage, or the comparison is vacuous.
-    // Exact MWPM leaves the blind baseline failing on ~4.5% of these shots
-    // (without the burst the d = 7 patch at p = 6e-3 almost never fails).
     assert!(
-        blind * 40 >= shots,
-        "the blind baseline should fail on >= 2.5% of burst shots, got {blind}/{shots}"
+        blind * 10 >= shots,
+        "the blind baseline should fail on >= 10% of burst shots, got {blind}/{shots}"
     );
 }
