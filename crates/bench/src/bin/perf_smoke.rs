@@ -359,8 +359,9 @@ fn main() {
     //
     // * packed/scalar d3: the headline number of the 64-shot batch spine.
     // * tree/uf d11: the exact tree matcher against the union-find baseline
-    //   on identical pre-sampled burst windows.  Measured 0.21-0.24 on a
-    //   2-vCPU host; the floor sits 2x or more below that for machine variance.
+    //   on identical pre-sampled burst windows.  Measured 0.45-0.56 over
+    //   five runs on a 2-vCPU host; the floor sits 2x or more below that
+    //   for machine variance.
     const RATIO_GATES: [(&str, &str, &str, f64); 2] = [
         (
             "packed/scalar d3",
@@ -372,7 +373,7 @@ fn main() {
             "tree/uf d11",
             "perf/decode_window/d11/tree/rollback",
             "perf/decode_window/d11/uf/rollback",
-            0.1,
+            0.2,
         ),
     ];
     for (label, numerator, denominator, floor) in RATIO_GATES {

@@ -14,25 +14,36 @@
 //!   invariant *everything within radius `y_i` is settled* always holds;
 //!   exploration state is never undone, even when duals later shrink —
 //!   claims are facts about the graph, not about the matching.
-//! * **A global event queue.**  One indexed min-heap over virtual time
-//!   orders the next-tight events: *settle* (a region's Dijkstra frontier
-//!   becomes reachable, possibly discovering new candidate edges),
-//!   *edge-tight* (a discovered defect–defect candidate's slack hits zero),
-//!   *boundary-hit* (a defect's cheapest boundary attachment becomes
-//!   tight), and *shrink-to-zero* (an inner blossom's dual reaches zero and
-//!   the blossom must expand).  Each source — a region, a candidate, a
-//!   blossom — holds at most one live entry: re-scheduling a source
-//!   re-keys its entry in place, so the heap never fills with superseded
-//!   copies.  An entry can still go stale when a state change *delays* its
-//!   event without re-scheduling it (a rate drop parks it), so every pop
-//!   re-costs the event against the current duals before acting on it.
-//! * **Wake only on a rate change.**  An event time moves earlier only when
+//! * **A global, time-bucketed event queue.**  It orders the next-tight
+//!   events: *settle* (a region's Dijkstra frontier becomes reachable,
+//!   possibly discovering new candidate edges), *edge-tight* (a discovered
+//!   defect–defect candidate's slack hits zero), *boundary-hit* (a defect's
+//!   cheapest boundary attachment becomes tight), and *shrink-to-zero* (an
+//!   inner blossom's dual reaches zero and the blossom must expand).  One
+//!   call sees few distinct event times (on d = 11 windows, about 4 per
+//!   call, with a few hundred events popped at each), so events with
+//!   exactly equal times share a bucket, and only the short list of live
+//!   buckets is kept sorted.  Pops go by time, then by kind, then last
+//!   scheduled first; this depth-first order within one time also makes
+//!   fewer grows than an id order.  Each source — a region, a candidate, a
+//!   blossom — holds at most one live entry: re-scheduling a source moves
+//!   its entry, so the queue never fills with superseded copies.  An entry can still go stale when a state change *delays* its
+//!   event without re-scheduling it, so every pop re-costs the event
+//!   against the current duals before acting on it.
+//! * **Wake only on a rate rise.**  An event time moves earlier only when
 //!   some endpoint's growth rate rises, so a structural change re-schedules
-//!   the defects of exactly the nodes whose rate changed: the inner
-//!   children of a new blossom (−1 → +1), the children of an expanded
-//!   blossom that leave the inner state, the nodes a tree grabs, and the
-//!   members of a dismantled tree.  Children that keep their rate keep
+//!   the defects of exactly the nodes whose rate rose: the inner children
+//!   of a new blossom (−1 → +1), the children of an expanded blossom that
+//!   leave the inner state (−1 → +1 or 0), the matched partner a tree grabs
+//!   (0 → +1), and the inner members of a dismantled tree (−1 → 0).  The
+//!   grabbed node itself (0 → −1) and the outer members of a dismantled
+//!   tree (+1 → 0) slow down; their events are only late, and the pop-time
+//!   re-costing drops or re-keys them.  Children that keep their rate keep
 //!   their scheduled (or parked) events untouched.
+//! * **One-lookup candidate dedup.**  Every meet is offered by the region
+//!   being settled, so a settle first stamps that region's candidates into
+//!   a table indexed by their other endpoint; finding the existing
+//!   candidate for a meet is then one array read.
 //! * **Candidate edges are exact when it matters.**  A meet between regions
 //!   `i` and `j` yields the candidate cost `d_i(u) + w(u,v) + d_j(v)`.
 //!   Because `y_i ≤ (settled radius of i)` at all times, the moment
@@ -56,7 +67,7 @@
 //! zero-weight component pair for free and only the residual parity enters
 //! the tree machinery.
 //!
-//! The backend keeps cumulative event and blossom counts
+//! The backend keeps cumulative event, blossom and wake counts
 //! ([`AltTreeBackend::counters`]); they are plain integer bumps on paths
 //! that already do far more work, so they are always on.
 //!
@@ -135,6 +146,14 @@ enum EventKind {
 /// Number of [`EventKind`]s.
 const KINDS: usize = 4;
 
+/// Every kind, in [`EventKind`] (pop) order.
+const KIND_ORDER: [EventKind; KINDS] = [
+    EventKind::Settle,
+    EventKind::BlossomZero,
+    EventKind::EdgeTight,
+    EventKind::BoundaryHit,
+];
+
 /// One scheduled event at absolute virtual time `t`, from source
 /// `(kind, id)`: a region (settle, boundary-hit), a candidate edge
 /// (edge-tight) or a blossom node (shrink-to-zero).
@@ -145,147 +164,164 @@ struct Event {
     id: u32,
 }
 
-impl Event {
-    /// Pop order: `(t, kind, id)`, so pops are deterministic under ties.
-    /// Times are finite, so plain float comparison is a total order here.
-    #[inline]
-    fn before(&self, other: &Self) -> bool {
-        let tie = |e: &Self| (e.kind as u64) << 32 | e.id as u64;
-        self.t < other.t || (self.t == other.t && tie(self) < tie(other))
-    }
-
-    /// Index of the event's source in the queue's position table.
-    #[inline]
-    fn source(&self) -> usize {
-        self.id as usize * KINDS + self.kind as usize
-    }
+/// Index of source `(kind, id)` in the queue's position table.
+#[inline]
+fn source(kind: EventKind, id: u32) -> usize {
+    id as usize * KINDS + kind as usize
 }
 
-/// An indexed binary min-heap of [`Event`]s holding at most one live entry
-/// per `(kind, id)` source.  Scheduling a source that already has an entry
-/// re-keys that entry in place instead of adding a second one.
+/// All live entries at one virtual time: one id list per [`EventKind`].
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    t: f64,
+    ids: [Vec<u32>; KINDS],
+    /// Entries over all kinds; the bucket is released when it hits zero.
+    len: u32,
+}
+
+/// Where a source's live entry sits: `ids[kind][index]` of bucket `bucket`
+/// (`bucket == NONE` when the source has no live entry).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    bucket: u32,
+    index: u32,
+}
+
+const NO_SLOT: Slot = Slot {
+    bucket: NONE,
+    index: 0,
+};
+
+/// A time-bucketed event queue holding at most one live entry per
+/// `(kind, id)` source.
+///
+/// Entries with exactly equal times share a bucket, so a matcher call that
+/// schedules thousands of events over a handful of distinct times keeps
+/// only a handful of buckets in order; everything else is a push or a
+/// `swap_remove` on a list.  Pop order is time, then kind, then last scheduled
+/// first within a kind.  Scheduling a source that already has an entry
+/// moves that entry (re-key) instead of adding a second one; the move
+/// fills the vacated place with its list's last entry.
 #[derive(Debug, Clone, Default)]
 struct EventQueue {
-    heap: Vec<Event>,
-    /// Heap slot of each source's live entry (see [`Event::source`]), or
-    /// `NONE`.
-    pos: Vec<u32>,
+    /// Bucket arena; slots are recycled through `spare`.
+    buckets: Vec<Bucket>,
+    /// Live bucket slots sorted by time, the earliest last.
+    live: Vec<u32>,
+    /// Released (empty) bucket slots.
+    spare: Vec<u32>,
+    /// Slot of each source's live entry (see [`source`]).
+    pos: Vec<Slot>,
 }
 
 impl EventQueue {
     /// Number of live entries.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.heap.len()
+        self.live
+            .iter()
+            .map(|&b| self.buckets[b as usize].len as usize)
+            .sum()
     }
 
     /// Schedules source `(kind, id)` at finite time `t`: inserts it, or
     /// moves its live entry to `t` (nothing to do when `t` is unchanged).
     fn push(&mut self, t: f64, kind: EventKind, id: u32) {
         debug_assert!(t.is_finite());
-        let e = Event { t, kind, id };
-        let src = e.source();
+        let src = source(kind, id);
         if src >= self.pos.len() {
-            self.pos.resize(src + 1, NONE);
+            self.pos.resize(src + 1, NO_SLOT);
         }
         let slot = self.pos[src];
-        if slot == NONE {
-            self.heap.push(e);
-            self.sift_up(self.heap.len() - 1);
-            return;
+        if slot.bucket != NONE {
+            if self.buckets[slot.bucket as usize].t == t {
+                return;
+            }
+            self.remove(slot, kind);
         }
-        let slot = slot as usize;
-        let old = self.heap[slot].t;
-        if t == old {
-            return;
-        }
-        self.heap[slot].t = t;
-        if t < old {
-            self.sift_up(slot);
-        } else {
-            self.sift_down(slot);
-        }
+        let b = self.bucket_at(t);
+        let bucket = &mut self.buckets[b as usize];
+        let list = &mut bucket.ids[kind as usize];
+        self.pos[src] = Slot {
+            bucket: b,
+            index: list.len() as u32,
+        };
+        list.push(id);
+        bucket.len += 1;
     }
 
-    /// Removes and returns the first event in `(t, kind, id)` order.
+    /// Removes and returns the first event: earliest time, then first kind
+    /// in [`EventKind`] order, then the entry of that kind scheduled last.
     fn pop(&mut self) -> Option<Event> {
-        let last = self.heap.pop()?;
-        let Some(&top) = self.heap.first() else {
-            self.pos[last.source()] = NONE;
-            return Some(last);
-        };
-        self.pos[top.source()] = NONE;
-        // Walk the hole at the root down to a leaf along the earlier child
-        // (one comparison per level), then refill it with the last entry.
-        let n = self.heap.len();
-        let mut i = 0;
-        loop {
-            let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
-            let child = if left + 1 < n && self.heap[left + 1].before(&self.heap[left]) {
-                left + 1
-            } else {
-                left
-            };
-            self.place(i, self.heap[child]);
-            i = child;
+        let &b = self.live.last()?;
+        let bucket = &mut self.buckets[b as usize];
+        let t = bucket.t;
+        let (kind, id) = KIND_ORDER
+            .iter()
+            .find_map(|&kind| bucket.ids[kind as usize].pop().map(|id| (kind, id)))
+            .expect("live buckets are never empty");
+        bucket.len -= 1;
+        if bucket.len == 0 {
+            self.live.pop();
+            self.spare.push(b);
         }
-        self.heap[i] = last;
-        self.sift_up(i);
-        Some(top)
+        self.pos[source(kind, id)] = NO_SLOT;
+        Some(Event { t, kind, id })
     }
 
     /// Drops every live entry, resetting only the positions they held.
     fn clear(&mut self) {
-        for e in &self.heap {
-            self.pos[e.source()] = NONE;
+        for &b in &self.live {
+            let bucket = &mut self.buckets[b as usize];
+            for kind in KIND_ORDER {
+                for id in bucket.ids[kind as usize].drain(..) {
+                    self.pos[source(kind, id)] = NO_SLOT;
+                }
+            }
+            bucket.len = 0;
         }
-        self.heap.clear();
+        self.spare.append(&mut self.live);
     }
 
-    /// Writes `e` into heap slot `i` and records the slot.
-    #[inline]
-    fn place(&mut self, i: usize, e: Event) {
-        self.heap[i] = e;
-        self.pos[e.source()] = i as u32;
+    /// The live bucket at time `t`, opened (from a spare slot if one is
+    /// free) when no entry has that time yet.
+    fn bucket_at(&mut self, t: f64) -> u32 {
+        let at = self
+            .live
+            .partition_point(|&b| self.buckets[b as usize].t > t);
+        if let Some(&b) = self.live.get(at) {
+            if self.buckets[b as usize].t == t {
+                return b;
+            }
+        }
+        let b = self.spare.pop().unwrap_or_else(|| {
+            self.buckets.push(Bucket::default());
+            self.buckets.len() as u32 - 1
+        });
+        self.buckets[b as usize].t = t;
+        self.live.insert(at, b);
+        b
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        let e = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if !e.before(&self.heap[parent]) {
-                break;
-            }
-            self.place(i, self.heap[parent]);
-            i = parent;
+    /// Takes the entry at `slot` (of kind `kind`) out of its bucket,
+    /// releasing the bucket when it empties.
+    fn remove(&mut self, slot: Slot, kind: EventKind) {
+        let bucket = &mut self.buckets[slot.bucket as usize];
+        let list = &mut bucket.ids[kind as usize];
+        list.swap_remove(slot.index as usize);
+        if let Some(&moved) = list.get(slot.index as usize) {
+            self.pos[source(kind, moved)].index = slot.index;
         }
-        self.place(i, e);
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let e = self.heap[i];
-        let n = self.heap.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < n && self.heap[right].before(&self.heap[left]) {
-                right
-            } else {
-                left
-            };
-            if !self.heap[child].before(&e) {
-                break;
-            }
-            self.place(i, self.heap[child]);
-            i = child;
+        bucket.len -= 1;
+        if bucket.len == 0 {
+            let t = bucket.t;
+            let at = self
+                .live
+                .partition_point(|&b| self.buckets[b as usize].t > t);
+            debug_assert_eq!(self.live[at], slot.bucket);
+            self.live.remove(at);
+            self.spare.push(slot.bucket);
         }
-        self.place(i, e);
     }
 }
 
@@ -405,6 +441,11 @@ pub struct AltTreeBackend {
     path_edges: Vec<u32>,
     /// Children of a new blossom whose rate flipped from inner to outer.
     flipped: Vec<u32>,
+    /// `cand_of[region]` = `(settle stamp, candidate id)`: the candidate
+    /// joining the settling region to `region`, valid when the stamp equals
+    /// `settle_epoch` (loaded from the settling region's `adj` list).
+    cand_of: Vec<(u32, u32)>,
+    settle_epoch: u32,
     /// Cumulative counts over every call (see [`Self::counters`]).
     counters: AltTreeCounters,
 }
@@ -421,6 +462,8 @@ pub struct AltTreeCounters {
     pub blossoms_formed: u64,
     /// Inner blossoms dissolved when their dual reached zero.
     pub blossoms_expanded: u64,
+    /// Nodes whose events were re-scheduled after their growth rate rose.
+    pub nodes_woken: u64,
 }
 
 impl AltTreeBackend {
@@ -578,11 +621,12 @@ impl AltTreeBackend {
         }
     }
 
-    /// Wakes every defect of node `x` after a state change that changed its
+    /// Wakes every defect of node `x` after a state change that raised its
     /// growth rate — the one call every such change funnels through.  Nodes
-    /// whose rate did not change are never refreshed: none of their event
+    /// whose rate fell or stayed are never refreshed: none of their event
     /// times can have moved earlier.
     fn refresh_node(&mut self, x: u32) {
+        self.counters.nodes_woken += 1;
         self.collect_defects(x);
         for i in 0..self.walk.len() {
             self.wake(self.walk[i]);
@@ -600,34 +644,28 @@ impl AltTreeBackend {
             .map(|&(_, d)| d)
     }
 
-    /// Records or improves the candidate edge between residual defects
-    /// `a` and `b` at meet cost `c`, scheduling its tight event.
+    /// Records or improves the candidate edge between the settling region
+    /// `a` and residual defect `b` at meet cost `c`, scheduling its tight
+    /// event.  `cand_of` holds `a`'s candidates (see [`Self::settle`]), so
+    /// the dedup is one lookup.
     fn offer_cand(&mut self, a: u32, b: u32, c: f64) {
         if a == b {
             return;
         }
-        // Dedup by linear scan of the smaller endpoint's list: k and the
-        // per-defect degree are both small, and this keeps the hot path
-        // free of hash maps.
-        let (key, other) = if self.adj[a as usize].len() <= self.adj[b as usize].len() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        for &cid in &self.adj[key as usize] {
+        let (stamp, cid) = self.cand_of[b as usize];
+        if stamp == self.settle_epoch {
             let cand = &mut self.cands[cid as usize];
-            if cand.a == other || cand.b == other {
-                if c < cand.c {
-                    cand.c = c;
-                    self.schedule_cand(cid);
-                }
-                return;
+            if c < cand.c {
+                cand.c = c;
+                self.schedule_cand(cid);
             }
+            return;
         }
         let cid = self.cands.len() as u32;
         self.cands.push(Cand { a, b, c });
         self.adj[a as usize].push(cid);
         self.adj[b as usize].push(cid);
+        self.cand_of[b as usize] = (self.settle_epoch, cid);
         self.schedule_cand(cid);
     }
 
@@ -637,6 +675,14 @@ impl AltTreeBackend {
     fn settle(&mut self, graph: &SyndromeGraph, defect: u32) {
         if self.rate(defect) <= 0.0 {
             return; // stale event; re-scheduled on the next wake
+        }
+        // Every meet found below is offered with `a == defect`: stamp the
+        // candidates `defect` already has, indexed by their other endpoint.
+        self.settle_epoch += 1;
+        for &cid in &self.adj[defect as usize] {
+            let c = self.cands[cid as usize];
+            let other = if c.a == defect { c.b } else { c.a };
+            self.cand_of[other as usize] = (self.settle_epoch, cid);
         }
         loop {
             let Some(&front) = self.fronts[defect as usize].peek() else {
@@ -1093,7 +1139,9 @@ impl AltTreeBackend {
         self.pa_edge[p as usize] = NONE;
         self.tree_tag[p as usize] = tag;
         self.tree_members[tag as usize].push(p);
-        self.refresh_node(f);
+        // Only `p` speeds up (free → outer, 0 → +1).  `f` slows (free →
+        // inner, 0 → −1), so its scheduled events can only be late, and
+        // the pop-time re-costing drops or re-keys them.
         self.refresh_node(p);
         if f as usize >= self.k {
             self.schedule_blossom(f);
@@ -1147,7 +1195,9 @@ impl AltTreeBackend {
     }
 
     /// Dismantles a tree after augmentation: every still-live outermost
-    /// member goes free (duals frozen) and gets re-scheduled.
+    /// member goes free (duals frozen).  Only the inner members speed up
+    /// (−1 → 0) and get re-scheduled; the outer ones slow (+1 → 0), so
+    /// their scheduled events can only be late.
     fn teardown(&mut self, tag: u32) {
         let members = std::mem::take(&mut self.tree_members[tag as usize]);
         for &x in &members {
@@ -1159,11 +1209,14 @@ impl AltTreeBackend {
             if xi >= self.k {
                 self.freeze_z(x);
             }
+            let was_inner = self.state[xi] == 1;
             self.state[xi] = -1;
             self.pa[xi] = NONE;
             self.pa_edge[xi] = NONE;
             self.tree_tag[xi] = NONE;
-            self.refresh_node(x);
+            if was_inner {
+                self.refresh_node(x);
+            }
         }
         self.tree_members[tag as usize] = members;
         self.tree_members[tag as usize].clear();
@@ -1217,6 +1270,8 @@ impl AltTreeBackend {
         fit(&mut self.y_at, k, 0.0);
         fit(&mut self.bnd, k, None);
         fit(&mut self.bnd_used, k, None);
+        fit(&mut self.cand_of, k, (0, NONE));
+        self.settle_epoch = 0;
         if self.adj.len() < k {
             self.adj.resize(k, Vec::new());
         }
@@ -1788,6 +1843,7 @@ mod tests {
         assert_eq!(ids, [2, 0, 3, 1]);
     }
 
+    /// Pop order is time, then kind, then last scheduled first.
     #[test]
     fn queue_pops_in_time_kind_id_order() {
         let mut q = EventQueue::default();
@@ -1797,54 +1853,112 @@ mod tests {
         q.push(1.0, EventKind::EdgeTight, 2);
         q.push(0.5, EventKind::BoundaryHit, 7);
         q.push(1.0, EventKind::BlossomZero, 4);
+        q.push(1.0, EventKind::EdgeTight, 8);
+        q.push(1.0, EventKind::BoundaryHit, 3);
         assert_eq!(
             pop_all(&mut q),
             [
                 (0.5, EventKind::BoundaryHit, 7),
                 (1.0, EventKind::Settle, 9),
                 (1.0, EventKind::BlossomZero, 4),
+                (1.0, EventKind::EdgeTight, 8),
                 (1.0, EventKind::EdgeTight, 2),
                 (1.0, EventKind::EdgeTight, 5),
+                (1.0, EventKind::BoundaryHit, 3),
                 (1.0, EventKind::BoundaryHit, 0),
             ]
         );
         assert!(q.pop().is_none());
     }
 
+    /// A re-key moves an entry to another bucket and back; the bucket it
+    /// leaves, and later one in the middle of the queue, empties and is
+    /// released while earlier and later buckets stay live.
+    #[test]
+    fn queue_rekey_across_buckets_releases_emptied_ones() {
+        let mut q = EventQueue::default();
+        q.push(1.0, EventKind::Settle, 0);
+        q.push(2.0, EventKind::EdgeTight, 1);
+        q.push(2.0, EventKind::EdgeTight, 2);
+        q.push(3.0, EventKind::Settle, 3);
+        q.push(4.0, EventKind::BoundaryHit, 4);
+        // Edge 1 leaves the t = 2 bucket for t = 3 and comes back: it now
+        // pops as the latest-scheduled entry of its list, and edge 2 (moved
+        // into its place) keeps a valid position.
+        q.push(3.0, EventKind::EdgeTight, 1);
+        assert_eq!(q.live.len(), 4);
+        q.push(2.0, EventKind::EdgeTight, 1);
+        assert_eq!(q.live.len(), 4);
+        // Settle 3 leaves t = 3 (in the middle of the queue) for t = 5:
+        // the t = 3 bucket empties, and its released slot opens t = 5.
+        q.push(5.0, EventKind::Settle, 3);
+        assert_eq!(q.live.len(), 4);
+        assert_eq!(q.buckets.len(), 4);
+        assert_eq!(q.len(), 5);
+        q.push(2.5, EventKind::BlossomZero, 6);
+        assert_eq!(q.buckets.len(), 5);
+        assert_eq!(
+            pop_all(&mut q),
+            [
+                (1.0, EventKind::Settle, 0),
+                (2.0, EventKind::EdgeTight, 1),
+                (2.0, EventKind::EdgeTight, 2),
+                (2.5, EventKind::BlossomZero, 6),
+                (4.0, EventKind::BoundaryHit, 4),
+                (5.0, EventKind::Settle, 3),
+            ]
+        );
+        assert!(q.live.is_empty());
+        assert!(q.pos.iter().all(|s| s.bucket == NONE));
+    }
+
     /// Random pushes and re-keys against a reference map: one live entry
-    /// per source, holding its last scheduled time, popped in order.
+    /// per source, holding its last scheduled time, popped in time then
+    /// kind order.
     #[test]
     fn queue_keeps_one_live_entry_per_source() {
-        const KIND: [EventKind; KINDS] = [
-            EventKind::Settle,
-            EventKind::BlossomZero,
-            EventKind::EdgeTight,
-            EventKind::BoundaryHit,
-        ];
+        type Reference = std::collections::BTreeMap<(EventKind, u32), f64>;
+        fn schedule(q: &mut EventQueue, last: &mut Reference, rng: &mut Lcg) {
+            let kind = KIND_ORDER[rng.below(KINDS)];
+            let id = rng.below(30) as u32;
+            // Few distinct times, so buckets hold many entries.
+            let t = rng.below(12) as f64 * 0.25;
+            q.push(t, kind, id);
+            last.insert((kind, id), t);
+        }
         let mut rng = Lcg(0x9e3779b97f4a7c15);
         let mut q = EventQueue::default();
         for round in 0..50 {
-            let mut last = std::collections::BTreeMap::new();
+            let mut last = Reference::new();
             for _ in 0..(1 + rng.below(200)) {
-                let kind = KIND[rng.below(KINDS)];
-                let id = rng.below(30) as u32;
-                // Few distinct times, so ties exercise the kind/id order.
-                let t = rng.below(12) as f64 * 0.25;
-                q.push(t, kind, id);
-                last.insert((kind, id), t);
+                schedule(&mut q, &mut last, &mut rng);
                 assert_eq!(q.len(), last.len(), "round {round}");
             }
-            // Pop a prefix, then push more before draining, as the matcher
-            // does; every pop removes its source from the reference.
+            // Pop a prefix, then schedule more before draining, as the
+            // matcher does; every pop removes its source from the
+            // reference.
             for _ in 0..rng.below(last.len() + 1) {
                 let e = q.pop().expect("live entries remain");
                 assert_eq!(last.remove(&(e.kind, e.id)), Some(e.t), "round {round}");
-                assert!(last.values().all(|&t| t >= e.t), "round {round}");
+                assert!(
+                    last.iter()
+                        .all(|(&(kind, _), &t)| t > e.t || (t == e.t && kind >= e.kind)),
+                    "round {round}"
+                );
             }
-            let mut want: Vec<(f64, EventKind, u32)> =
-                last.iter().map(|(&(kind, id), &t)| (t, kind, id)).collect();
-            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-            assert_eq!(pop_all(&mut q), want, "round {round}");
+            for _ in 0..rng.below(40) {
+                schedule(&mut q, &mut last, &mut rng);
+            }
+            let popped = pop_all(&mut q);
+            assert_eq!(popped.len(), last.len(), "round {round}");
+            for w in popped.windows(2) {
+                let ((t0, k0, _), (t1, k1, _)) = (w[0], w[1]);
+                assert!(t0 < t1 || (t0 == t1 && k0 <= k1), "round {round}: {w:?}");
+            }
+            for &(t, kind, id) in &popped {
+                assert_eq!(last.remove(&(kind, id)), Some(t), "round {round}");
+            }
+            assert!(q.live.is_empty() && q.pos.iter().all(|s| s.bucket == NONE));
         }
     }
 
@@ -1858,7 +1972,8 @@ mod tests {
         q.pop();
         q.clear();
         assert_eq!(q.len(), 0);
-        assert!(q.pos.iter().all(|&p| p == NONE));
+        assert!(q.live.is_empty());
+        assert!(q.pos.iter().all(|s| s.bucket == NONE));
         q.push(2.0, EventKind::EdgeTight, 3);
         q.push(1.0, EventKind::EdgeTight, 19);
         assert_eq!(

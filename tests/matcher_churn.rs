@@ -1,13 +1,25 @@
-//! Event-queue churn pin for the alternating-tree matcher.
+//! Event-queue churn and wake pins for the alternating-tree matcher.
 //!
 //! The matcher keeps at most one live event per source and re-schedules
-//! only the nodes whose growth rate changed, so most events it pops are
-//! still due when they come off the queue.  This test decodes both passes
-//! of seeded d = 11 struck windows (the blind pass on uniform weights, the
-//! rollback pass on anomaly-aware weights) and pins the ratio of popped to
-//! acted-on events, read from the backend's cumulative counters: about
-//! 2.4x here.  A queue that fills with superseded entries again — one
-//! pushed copy per re-schedule — pops over 10x as many as it acts on.
+//! only the nodes whose growth rate rose, so most events it pops are still
+//! due when they come off the queue, and a structural change wakes few
+//! nodes.  This test decodes both passes of seeded d = 11 struck windows
+//! (the blind pass on uniform weights, then a second pass on the weights
+//! `WeightModel::anomaly_aware` gives the window's regions) and pins two
+//! ratios read from the backend's cumulative counters:
+//!
+//! * popped to acted-on events: about 2.2x here.  A queue that fills with
+//!   superseded entries again — one pushed copy per re-schedule — pops
+//!   over 10x as many as it acts on.
+//! * nodes woken to acted-on events: about 0.9x here.  Waking every node
+//!   whose rate *changed*, falls included, gives about 2.0x.
+//!
+//! Only window 0 is decoded on anomaly-aware weights in its second pass.
+//! `WindowSource` gives every struck window its region at absolute onset
+//! 0, while window `w` starts at cycle `12 w`, so for `w >= 1` the region
+//! lies before the window and the second pass repeats the blind one (see
+//! `struck_windows_after_the_first_reweight_some_edges`, ignored until
+//! that is fixed).
 
 use q3de::decoder::{SpaceTimeGraph, WeightModel};
 use q3de::matching::{AltTreeBackend, DecoderBackend};
@@ -45,11 +57,19 @@ fn struck_d11_windows_pop_few_stale_events() {
     }
     let c = backend.counters();
     assert!(c.events_acted > 0 && c.blossoms_formed > 0, "{c:?}");
+    let per_acted = |n: u64| n as f64 / c.events_acted as f64;
     assert!(
         c.events_popped <= 3 * c.events_acted,
         "popped {} events for {} acted ({:.2}x)",
         c.events_popped,
         c.events_acted,
-        c.events_popped as f64 / c.events_acted as f64
+        per_acted(c.events_popped)
+    );
+    assert!(
+        5 * c.nodes_woken <= 6 * c.events_acted,
+        "woke {} nodes for {} acted events ({:.2}x)",
+        c.nodes_woken,
+        c.events_acted,
+        per_acted(c.nodes_woken)
     );
 }
