@@ -23,11 +23,14 @@
 //!   call sees few distinct event times (on d = 11 windows, about 4 per
 //!   call, with a few hundred events popped at each), so events with
 //!   exactly equal times share a bucket, and only the short list of live
-//!   buckets is kept sorted.  Pops go by time, then by kind, then last
-//!   scheduled first; this depth-first order within one time also makes
-//!   fewer grows than an id order.  Each source — a region, a candidate, a
-//!   blossom — holds at most one live entry: re-scheduling a source moves
-//!   its entry, so the queue never fills with superseded copies.  An entry can still go stale when a state change *delays* its
+//!   buckets is kept sorted.  Pops go by time, then by kind, then from the
+//!   end of the kind's list: a newly scheduled entry is pushed on the end,
+//!   and a re-key fills the hole it leaves with the list's last entry.
+//!   This mostly last-scheduled-first, depth-first order within one time
+//!   makes fewer grows than an id order.  Each source — a region, a
+//!   candidate, a blossom — holds at most one live entry: re-scheduling a
+//!   source moves its entry, so the queue never fills with superseded
+//!   copies.  An entry can still go stale when a state change *delays* its
 //!   event without re-scheduling it, so every pop re-costs the event
 //!   against the current duals before acting on it.
 //! * **Wake only on a rate rise.**  An event time moves earlier only when
@@ -198,10 +201,12 @@ const NO_SLOT: Slot = Slot {
 /// Entries with exactly equal times share a bucket, so a matcher call that
 /// schedules thousands of events over a handful of distinct times keeps
 /// only a handful of buckets in order; everything else is a push or a
-/// `swap_remove` on a list.  Pop order is time, then kind, then last scheduled
-/// first within a kind.  Scheduling a source that already has an entry
-/// moves that entry (re-key) instead of adding a second one; the move
-/// fills the vacated place with its list's last entry.
+/// `swap_remove` on a list.  Pop order is time, then kind, then the end of
+/// the kind's list first.  A newly scheduled entry is pushed on the end of
+/// its list, so without re-keys a kind pops last scheduled first.
+/// Scheduling a source that already has an entry moves that entry (re-key)
+/// instead of adding a second one; the move fills the vacated place with
+/// its list's last entry, which then pops in the moved entry's old turn.
 #[derive(Debug, Clone, Default)]
 struct EventQueue {
     /// Bucket arena; slots are recycled through `spare`.
@@ -251,7 +256,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the first event: earliest time, then first kind
-    /// in [`EventKind`] order, then the entry of that kind scheduled last.
+    /// in [`EventKind`] order, then the last entry of that kind's list.
     fn pop(&mut self) -> Option<Event> {
         let &b = self.live.last()?;
         let bucket = &mut self.buckets[b as usize];
@@ -1843,7 +1848,9 @@ mod tests {
         assert_eq!(ids, [2, 0, 3, 1]);
     }
 
-    /// Pop order is time, then kind, then last scheduled first.
+    /// Pop order is time, then kind, then the end of the kind's list: with
+    /// no re-keys that is last scheduled first, and a re-key fills the hole
+    /// it leaves with its list's last entry.
     #[test]
     fn queue_pops_in_time_kind_id_order() {
         let mut q = EventQueue::default();
@@ -1869,6 +1876,12 @@ mod tests {
             ]
         );
         assert!(q.pop().is_none());
+        for id in 1..=3 {
+            q.push(1.0, EventKind::EdgeTight, id);
+        }
+        q.push(2.0, EventKind::EdgeTight, 1); // list [1, 2, 3] -> [3, 2]
+        let ids: Vec<u32> = pop_all(&mut q).iter().map(|e| e.2).collect();
+        assert_eq!(ids, [2, 3, 1]);
     }
 
     /// A re-key moves an entry to another bucket and back; the bucket it
@@ -1912,54 +1925,81 @@ mod tests {
         assert!(q.pos.iter().all(|s| s.bucket == NONE));
     }
 
-    /// Random pushes and re-keys against a reference map: one live entry
-    /// per source, holding its last scheduled time, popped in time then
-    /// kind order.
+    /// Random pushes and re-keys against a reference model that keeps one
+    /// list per (time, kind) with the same push and `swap_remove`: one live
+    /// entry per source, and the exact same pop sequence.
     #[test]
     fn queue_keeps_one_live_entry_per_source() {
-        type Reference = std::collections::BTreeMap<(EventKind, u32), f64>;
-        fn schedule(q: &mut EventQueue, last: &mut Reference, rng: &mut Lcg) {
+        /// Lists per time tick (`t = tick / 4`), and each source's tick.
+        #[derive(Default)]
+        struct Model {
+            lists: std::collections::BTreeMap<usize, [Vec<u32>; KINDS]>,
+            tick: std::collections::BTreeMap<(EventKind, u32), usize>,
+        }
+        impl Model {
+            /// Schedules a source; true when that moved a live entry.
+            fn push(&mut self, tick: usize, kind: EventKind, id: u32) -> bool {
+                let old = self.tick.insert((kind, id), tick);
+                if old == Some(tick) {
+                    return false;
+                }
+                if let Some(old) = old {
+                    let lists = self.lists.get_mut(&old).unwrap();
+                    let list = &mut lists[kind as usize];
+                    let at = list.iter().position(|&x| x == id).unwrap();
+                    list.swap_remove(at);
+                    if lists.iter().all(Vec::is_empty) {
+                        self.lists.remove(&old);
+                    }
+                }
+                self.lists.entry(tick).or_default()[kind as usize].push(id);
+                old.is_some()
+            }
+            fn pop(&mut self) -> Option<(f64, EventKind, u32)> {
+                let mut first = self.lists.first_entry()?;
+                let tick = *first.key();
+                let (kind, id) = KIND_ORDER
+                    .iter()
+                    .find_map(|&kind| first.get_mut()[kind as usize].pop().map(|id| (kind, id)))
+                    .unwrap();
+                if first.get().iter().all(Vec::is_empty) {
+                    first.remove();
+                }
+                self.tick.remove(&(kind, id));
+                Some((tick as f64 * 0.25, kind, id))
+            }
+        }
+        fn schedule(q: &mut EventQueue, model: &mut Model, rng: &mut Lcg) -> bool {
             let kind = KIND_ORDER[rng.below(KINDS)];
             let id = rng.below(30) as u32;
             // Few distinct times, so buckets hold many entries.
-            let t = rng.below(12) as f64 * 0.25;
-            q.push(t, kind, id);
-            last.insert((kind, id), t);
+            let tick = rng.below(12);
+            q.push(tick as f64 * 0.25, kind, id);
+            model.push(tick, kind, id)
         }
         let mut rng = Lcg(0x9e3779b97f4a7c15);
         let mut q = EventQueue::default();
+        let mut rekeys = 0;
         for round in 0..50 {
-            let mut last = Reference::new();
+            let mut model = Model::default();
             for _ in 0..(1 + rng.below(200)) {
-                schedule(&mut q, &mut last, &mut rng);
-                assert_eq!(q.len(), last.len(), "round {round}");
+                rekeys += usize::from(schedule(&mut q, &mut model, &mut rng));
+                assert_eq!(q.len(), model.tick.len(), "round {round}");
             }
             // Pop a prefix, then schedule more before draining, as the
-            // matcher does; every pop removes its source from the
-            // reference.
-            for _ in 0..rng.below(last.len() + 1) {
-                let e = q.pop().expect("live entries remain");
-                assert_eq!(last.remove(&(e.kind, e.id)), Some(e.t), "round {round}");
-                assert!(
-                    last.iter()
-                        .all(|(&(kind, _), &t)| t > e.t || (t == e.t && kind >= e.kind)),
-                    "round {round}"
-                );
+            // matcher does.
+            for _ in 0..rng.below(model.tick.len() + 1) {
+                let e = q.pop().map(|e| (e.t, e.kind, e.id));
+                assert_eq!(e, model.pop(), "round {round}");
             }
             for _ in 0..rng.below(40) {
-                schedule(&mut q, &mut last, &mut rng);
+                rekeys += usize::from(schedule(&mut q, &mut model, &mut rng));
             }
-            let popped = pop_all(&mut q);
-            assert_eq!(popped.len(), last.len(), "round {round}");
-            for w in popped.windows(2) {
-                let ((t0, k0, _), (t1, k1, _)) = (w[0], w[1]);
-                assert!(t0 < t1 || (t0 == t1 && k0 <= k1), "round {round}: {w:?}");
-            }
-            for &(t, kind, id) in &popped {
-                assert_eq!(last.remove(&(kind, id)), Some(t), "round {round}");
-            }
+            let expected: Vec<_> = std::iter::from_fn(|| model.pop()).collect();
+            assert_eq!(pop_all(&mut q), expected, "round {round}");
             assert!(q.live.is_empty() && q.pos.iter().all(|s| s.bucket == NONE));
         }
+        assert!(rekeys > 1000, "only {rekeys} re-keys exercised");
     }
 
     #[test]
