@@ -15,6 +15,12 @@
 //! * `resume` plans a follow-up job that continues from committed tallies;
 //! * `diff` compares two report artifacts, ignoring timing fields — the
 //!   fabric's acceptance check.
+//!
+//! `serve --checkpoint PATH` and `merge --checkpoint PATH` write the
+//! sweep's checkpoint: the job's plan rebased on the committed tallies,
+//! the same document a single-process `fig3 --checkpoint PATH` writes, so
+//! `fig3 ... --checkpoint PATH --resume` takes the sweep over in one
+//! process.
 
 use std::net::TcpListener;
 use std::path::Path;
@@ -38,6 +44,10 @@ Subcommands:
   serve    run the live TCP coordinator for q3de-sweepd --connect
   resume   plan a follow-up job continuing from committed tallies
   diff     compare two report artifacts, ignoring timing fields
+
+serve and merge take --checkpoint PATH: they write the committed tallies
+as the checkpoint a single-process run resumes from (for example
+'fig3 --samples 800 --checkpoint PATH --resume').
 
 Run 'q3de-sweepctl <subcommand> --help' for each flag list.
 ";
@@ -201,18 +211,13 @@ fn cmd_merge(argv: &[String]) {
         "job file written by 'q3de-sweepctl plan' (required)",
     )
     .flag("--deltas", "PATH", "delta file to fold (repeatable)")
-    .flag("--out", "PATH", "report file to write (required)")
-    .flag(
-        "--checkpoint",
-        "PATH",
-        "also write the merged engine checkpoint",
-    );
-    let (_, extras) = parse(&cli, bin, argv);
+    .flag("--out", "PATH", "report file to write (required)");
+    let (args, extras) = parse(&cli, bin, argv);
     let job = load_job(bin, required(&extras, bin, "--job"));
     let out = required(&extras, bin, "--out");
     let (coordinator, total) = fold(bin, &job, &extras.all("--deltas"));
 
-    if let Some(path) = extras.get("--checkpoint") {
+    if let Some(path) = &args.checkpoint {
         if let Err(error) = coordinator.checkpoint().save(Path::new(path)) {
             eprintln!("{bin}: cannot write checkpoint: {error}");
             exit(2);
@@ -260,17 +265,12 @@ fn cmd_serve(argv: &[String]) {
         "--out",
         "PATH",
         "report file to write when the sweep completes (required)",
-    )
-    .flag(
-        "--checkpoint",
-        "PATH",
-        "persist committed tallies after every merge step",
     );
-    let (_, extras) = parse(&cli, bin, argv);
+    let (args, extras) = parse(&cli, bin, argv);
     let job = load_job(bin, required(&extras, bin, "--job"));
     let listen = required(&extras, bin, "--listen");
     let out = required(&extras, bin, "--out");
-    let checkpoint = extras.get("--checkpoint").map(Path::new);
+    let checkpoint = args.checkpoint.as_deref().map(Path::new);
 
     let listener = TcpListener::bind(listen).unwrap_or_else(|error| {
         eprintln!("{bin}: cannot listen on {listen}: {error}");
@@ -329,14 +329,10 @@ fn cmd_resume(argv: &[String]) {
         .unwrap_or(job.plan.num_shards);
     let (coordinator, total) = fold(bin, &job, &extras.all("--deltas"));
 
-    // The committed tallies become the follow-up plan's baselines; its
-    // fingerprint differs, so stale deltas of the old plan are refused.
-    let baselines: Vec<(usize, usize)> = coordinator
-        .checkpoint()
-        .points
-        .iter()
-        .map(|p| (p.shots, p.failures))
-        .collect();
+    // The checkpoint's baselines (the committed tallies) become the
+    // follow-up plan's; its fingerprint differs, so stale deltas of the
+    // old plan are refused.
+    let baselines = coordinator.checkpoint().baselines();
     let follow_up = SweepJob::plan(job.generator.clone(), shards, Some(&baselines))
         .unwrap_or_else(|message| fail(bin, message));
     if let Err(error) = follow_up.save(Path::new(out)) {

@@ -121,7 +121,7 @@ fn run_file(job_path: &str, shard: usize, deltas: Option<String>, resume: bool) 
             completed.len()
         );
     }
-    let result = ShardWorker::new(&job.plan, shard).run(&points, &completed, &mut sink, |_| {});
+    let result = ShardWorker::new(&job.plan, shard).run(&points, &completed, &mut sink);
     if let Err(error) = result {
         eprintln!("q3de-sweepd: shard {shard} failed: {error}");
         exit(2);
@@ -169,7 +169,7 @@ fn run_tcp(addr: &str) {
                 completed.len()
             );
         }
-        let result = ShardWorker::new(&job.plan, shard).run(&points, &completed, &mut sink, |_| {});
+        let result = ShardWorker::new(&job.plan, shard).run(&points, &completed, &mut sink);
         if let Err(error) = result {
             eprintln!("q3de-sweepd: shard {shard} failed: {error}");
             exit(2);

@@ -41,8 +41,9 @@ pub struct EngineArgs {
     /// once the relative Wilson half-width of its tally reaches this value.
     /// `None` keeps the classic fixed-shot behaviour.
     pub target_rse: Option<f64>,
-    /// Sweep checkpoint file (`--checkpoint PATH`): partial tallies are
-    /// persisted there so a killed sweep can be resumed.
+    /// Sweep checkpoint file (`--checkpoint PATH`): the committed tallies
+    /// are persisted there so a killed sweep can be resumed.  The figure
+    /// binaries and `q3de-sweepctl serve`/`merge` all write it.
     pub checkpoint: Option<String>,
     /// Resume from the checkpoint file if it exists (`--resume`).
     pub resume: bool,
@@ -191,6 +192,24 @@ impl ExtraValues {
     }
 }
 
+/// The flags the shared parser consumes itself: the engine flags it reads
+/// into [`EngineArgs`], plus help.  They are matched before any extra, so
+/// [`Cli::flag`] refuses these names: an extra of the same name would
+/// never see its value.
+const ENGINE_FLAGS: &[&str] = &[
+    "--samples",
+    "--seed",
+    "--matcher",
+    "--threads",
+    "--target-rse",
+    "--checkpoint",
+    "--report",
+    "--resume",
+    "--json",
+    "--help",
+    "-h",
+];
+
 /// The selectable `--matcher` names, `|`-separated (`tree|greedy|union-find`).
 fn matcher_names() -> String {
     MatcherKind::ALL.map(MatcherKind::name).join("|")
@@ -222,7 +241,17 @@ impl Cli {
     /// Declares a binary-specific flag: the literal `flag` (`--workers`),
     /// its `--help` value placeholder (`N`; empty for boolean flags), and a
     /// one-line help text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flag` is an engine flag: the engine parser matches it
+    /// first, so the extra would silently never be set.  Read the engine
+    /// value from [`EngineArgs`] instead.
     pub fn flag(mut self, flag: &'static str, value: &'static str, help: &'static str) -> Self {
+        assert!(
+            !ENGINE_FLAGS.contains(&flag),
+            "{flag} is an engine flag; read it from EngineArgs"
+        );
         self.extras.push(ExtraFlag { flag, value, help });
         self
     }
@@ -358,7 +387,7 @@ impl Cli {
             ),
             (
                 "--checkpoint PATH".into(),
-                "persist partial tallies to PATH after every committed block".into(),
+                "persist the committed tallies to PATH after every committed block".into(),
             ),
             (
                 "--resume".into(),
@@ -499,6 +528,12 @@ mod tests {
         assert!(extras.is_set("--fast"));
         assert!(!extras.is_set("--slow"));
         assert_eq!(extras.get("--slow"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--checkpoint is an engine flag")]
+    fn extra_flags_cannot_shadow_engine_flags() {
+        let _ = Cli::new("test", "test binary", 100).flag("--checkpoint", "PATH", "shadowed");
     }
 
     #[test]

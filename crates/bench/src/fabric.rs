@@ -32,8 +32,8 @@ use std::time::Instant;
 use q3de::matching::MatcherKind;
 use q3de::sim::engine::json::{check_schema_version, JsonValue};
 use q3de::sim::engine::{
-    write_atomic, Coordinator, DeltaSink, EngineError, EpochGate, ShardPlan, SweepPoint,
-    SweepReport, TallyDelta,
+    read_document, write_atomic, Coordinator, DeltaSink, EngineError, EpochGate, ShardPlan,
+    SweepPoint, SweepReport, TallyDelta,
 };
 
 use crate::{sweeps, EngineArgs};
@@ -277,18 +277,7 @@ impl SweepJob {
     ///
     /// Returns an error when the file cannot be read or parsed.
     pub fn load(path: &Path) -> Result<Self, EngineError> {
-        let text = std::fs::read_to_string(path).map_err(|source| EngineError::Io {
-            path: path.into(),
-            source,
-        })?;
-        let value = JsonValue::parse(&text).map_err(|message| EngineError::Parse {
-            path: path.into(),
-            message,
-        })?;
-        Self::from_json(&value).map_err(|message| EngineError::Parse {
-            path: path.into(),
-            message,
-        })
+        read_document(path, Self::from_json)
     }
 }
 
@@ -319,23 +308,16 @@ pub fn save_deltas(path: &Path, deltas: &[TallyDelta]) -> Result<(), EngineError
 /// Returns an error when the file cannot be read or parsed, or carries an
 /// unknown schema major.
 pub fn load_deltas(path: &Path) -> Result<Vec<TallyDelta>, EngineError> {
-    let parse_error = |message: String| EngineError::Parse {
-        path: path.into(),
-        message,
-    };
-    let text = std::fs::read_to_string(path).map_err(|source| EngineError::Io {
-        path: path.into(),
-        source,
-    })?;
-    let value = JsonValue::parse(&text).map_err(parse_error)?;
-    check_schema_version(&value, FABRIC_SCHEMA_VERSION, "delta file").map_err(parse_error)?;
-    value
-        .get("deltas")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| parse_error("delta file missing deltas".into()))?
-        .iter()
-        .map(|d| TallyDelta::from_json(d).map_err(parse_error))
-        .collect()
+    read_document(path, |value| {
+        check_schema_version(value, FABRIC_SCHEMA_VERSION, "delta file")?;
+        value
+            .get("deltas")
+            .and_then(JsonValue::as_array)
+            .ok_or("delta file missing deltas")?
+            .iter()
+            .map(TallyDelta::from_json)
+            .collect()
+    })
 }
 
 /// The file transport's [`DeltaSink`]: every committed delta is appended to
@@ -639,8 +621,10 @@ struct ServeState {
 /// A worker that disconnects without sending `done` has its shard released
 /// for the next `claim`, along with the deltas it already committed — so a
 /// killed worker costs at most its in-flight block.  With `checkpoint`,
-/// the committed tallies are persisted after every merge step in the same
-/// format a single-process sweep writes.
+/// the job's plan rebased on the committed tallies
+/// ([`Coordinator::checkpoint`]) is persisted after every merge step: the
+/// same document a single-process sweep writes, so one process can take
+/// the sweep over with `--resume`.
 ///
 /// # Errors
 ///
@@ -879,7 +863,7 @@ fn diff_value(path: &str, a: &JsonValue, b: &JsonValue, out: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use q3de::sim::engine::ShardWorker;
+    use q3de::sim::engine::{ShardWorker, SweepConfig, SweepRunner};
 
     fn generator() -> Generator {
         Generator {
@@ -1001,73 +985,103 @@ mod tests {
         );
     }
 
-    /// A cheap toy job: real plan and protocol, closure kernels instead of
-    /// decoder simulations (the registry kernels are exercised by the
+    /// The toy job's points: closure kernels instead of decoder
+    /// simulations (the registry kernels are exercised by the
     /// `engine_shards` integration tests and the CI shard-smoke job).
-    fn toy_job(num_shards: usize) -> (SweepJob, Vec<SweepPoint>) {
-        let points = vec![
+    fn toy_points() -> Vec<SweepPoint> {
+        vec![
             SweepPoint::new("a", |s: u64| s.is_multiple_of(7)),
             SweepPoint::new("b", |s: u64| s.is_multiple_of(3)),
-        ];
-        let config = q3de::sim::engine::SweepConfig::fixed(300);
-        let plan = ShardPlan::new(&config, &points, None, num_shards);
-        (
-            SweepJob {
-                generator: generator(),
-                plan,
-            },
-            points,
-        )
+        ]
     }
 
-    #[test]
-    fn tcp_sweep_matches_the_in_process_merge() {
-        let (job, points) = toy_job(2);
+    /// A cheap toy job: real plan and protocol over [`toy_points`], 300
+    /// shots per point.
+    fn toy_job(num_shards: usize) -> SweepJob {
+        let config = SweepConfig::fixed(300);
+        SweepJob {
+            generator: generator(),
+            plan: ShardPlan::new(&config, &toy_points(), None, num_shards),
+        }
+    }
+
+    /// Runs `job` through [`serve`] with one TCP worker per shard and
+    /// returns the served report.
+    fn serve_over_tcp(job: &SweepJob, checkpoint: Option<&Path>) -> SweepReport {
+        let points = toy_points();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve(&listener, &job, None).unwrap());
-            for _ in 0..2 {
+            let server = scope.spawn(|| serve(&listener, job, checkpoint).unwrap());
+            for _ in 0..job.plan.num_shards {
                 let addr = addr.clone();
                 let points = &points;
-                let job = &job;
                 scope.spawn(move || {
                     let mut sink = RemoteSink::connect(&addr).unwrap();
                     let (shard, remote_job, completed) = sink.claim().unwrap().expect("shard free");
                     assert_eq!(remote_job.plan.fingerprint(), job.plan.fingerprint());
                     ShardWorker::new(&job.plan, shard)
-                        .run(points, &completed, &mut sink, |_| {})
+                        .run(points, &completed, &mut sink)
                         .unwrap();
                     sink.finish().unwrap();
                 });
             }
-            let report = server.join().unwrap();
+            server.join().unwrap()
+        })
+    }
 
-            // The merged tallies equal a local coordinator fold of the same
-            // plan run through in-process workers.
-            let mut coordinator = Coordinator::new(job.plan.clone());
-            for shard in 0..job.plan.num_shards {
-                let mut deltas = Vec::new();
-                struct Collect<'a>(&'a mut Vec<TallyDelta>);
-                impl DeltaSink for Collect<'_> {
-                    fn submit(&mut self, delta: TallyDelta) -> Result<(), EngineError> {
-                        self.0.push(delta);
-                        Ok(())
-                    }
-                    fn gate(&mut self, _: usize, _: usize) -> Result<EpochGate, EngineError> {
-                        Ok(EpochGate::Run)
-                    }
+    #[test]
+    fn tcp_sweep_matches_the_in_process_merge() {
+        let job = toy_job(2);
+        let points = toy_points();
+        let report = serve_over_tcp(&job, None);
+
+        // The merged tallies equal a local coordinator fold of the same
+        // plan run through in-process workers.
+        let mut coordinator = Coordinator::new(job.plan.clone());
+        for shard in 0..job.plan.num_shards {
+            let mut deltas = Vec::new();
+            struct Collect<'a>(&'a mut Vec<TallyDelta>);
+            impl DeltaSink for Collect<'_> {
+                fn submit(&mut self, delta: TallyDelta) -> Result<(), EngineError> {
+                    self.0.push(delta);
+                    Ok(())
                 }
-                ShardWorker::new(&job.plan, shard)
-                    .run(&points, &[], &mut Collect(&mut deltas), |_| {})
-                    .unwrap();
-                coordinator.submit_all(&deltas).unwrap();
+                fn gate(&mut self, _: usize, _: usize) -> Result<EpochGate, EngineError> {
+                    Ok(EpochGate::Run)
+                }
             }
-            let mut local = coordinator.report(0.0, 2).unwrap();
-            job.stamp_meta(&mut local);
-            let differences = diff_reports(&report.to_json(), &local.to_json());
-            assert!(differences.is_empty(), "{differences:?}");
-        });
+            ShardWorker::new(&job.plan, shard)
+                .run(&points, &[], &mut Collect(&mut deltas))
+                .unwrap();
+            coordinator.submit_all(&deltas).unwrap();
+        }
+        let mut local = coordinator.report(0.0, 2).unwrap();
+        job.stamp_meta(&mut local);
+        let differences = diff_reports(&report.to_json(), &local.to_json());
+        assert!(differences.is_empty(), "{differences:?}");
+    }
+
+    #[test]
+    fn a_single_process_takes_over_from_the_served_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("q3de-takeover-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tcp-cp.json");
+        serve_over_tcp(&toy_job(2), Some(&path));
+
+        // Extend the served 300-shot sweep to 600 shots in one process.
+        let config = SweepConfig::fixed(600);
+        let resumed = SweepRunner::new(config.clone().with_checkpoint(&path).with_resume(true))
+            .run(toy_points())
+            .unwrap();
+        let fresh = SweepRunner::new(config).run(toy_points()).unwrap();
+        for (r, f) in resumed.points.iter().zip(&fresh.points) {
+            assert_eq!(r.resumed_shots, 300, "point {}", r.id);
+            assert_eq!(
+                (r.id.as_str(), r.shots, r.failures),
+                (f.id.as_str(), f.shots, f.failures)
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

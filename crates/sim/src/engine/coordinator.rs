@@ -16,10 +16,14 @@
 //! before learning of convergence, or a file-transport worker that ran to
 //! the ceiling) are accepted and discarded — they never contaminate the
 //! committed tally.
+//!
+//! [`Coordinator::checkpoint`] — the plan rebased on the committed tallies
+//! — is the one persisted form of sweep progress: every checkpoint writer
+//! (the single-process runner, `q3de-sweepctl serve` and `merge`) saves it,
+//! and every resume reads its baselines.
 
 use std::collections::BTreeMap;
 
-use super::checkpoint::{Checkpoint, CheckpointPoint};
 use super::shard::{EpochGate, ShardPlan, TallyDelta};
 use super::{EngineError, PointReport, SweepReport};
 
@@ -287,26 +291,18 @@ impl Coordinator {
         missing
     }
 
-    /// The committed tallies as an engine [`Checkpoint`] — the same
-    /// document a single-process [`SweepRunner`](super::SweepRunner) with
-    /// this configuration would write, so a sharded sweep can be taken
-    /// over by a single process (and vice versa).
-    pub fn checkpoint(&self) -> Checkpoint {
-        let ids: Vec<&str> = self.plan.points.iter().map(|p| p.id.as_str()).collect();
-        Checkpoint {
-            fingerprint: self.plan.sweep_config().fingerprint_of_ids(&ids),
-            points: self
-                .plan
-                .points
-                .iter()
-                .zip(&self.points)
-                .map(|(p, s)| CheckpointPoint {
-                    id: p.id.clone(),
-                    shots: s.committed_shots,
-                    failures: s.committed_failures,
-                })
-                .collect(),
+    /// The sweep's checkpoint: the plan rebased on the committed tallies
+    /// (every point's baseline set to its committed `(shots, failures)`).
+    /// `SweepRunner --checkpoint`, `q3de-sweepctl serve --checkpoint` and
+    /// `merge --checkpoint` all persist this one document, so a sharded
+    /// sweep can be taken over by a single process and vice versa.
+    pub fn checkpoint(&self) -> ShardPlan {
+        let mut plan = self.plan.clone();
+        for (point, state) in plan.points.iter_mut().zip(&self.points) {
+            point.base_shots = state.committed_shots;
+            point.base_failures = state.committed_failures;
         }
+        plan
     }
 
     /// The per-point progress `(committed shots, committed failures,

@@ -112,10 +112,13 @@ impl JsonValue {
 }
 
 /// Checks the `schema_version` field of a JSON artifact: it must be
-/// present and equal to `expected`.  Every engine artifact (reports,
-/// checkpoints, shard plans, tally deltas) carries this field so a parser
-/// from a different major refuses the document with a clear error instead
-/// of silently misreading it; `what` names the artifact in that error.
+/// present and equal to `expected`.  Every engine artifact (reports, shard
+/// plans — which are also the sweep checkpoints — and tally deltas)
+/// carries this field so a parser from a different major refuses the
+/// document with a clear error instead of silently misreading it; `what`
+/// names the artifact in that error.  Checkpoints written before they
+/// became shard plans (`schema_version` 2, per-point `shots`/`failures`)
+/// are refused this way as an unsupported shard-plan version.
 ///
 /// # Errors
 ///

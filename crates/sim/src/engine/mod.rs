@@ -26,10 +26,13 @@
 //!   below the target, checked only at deterministic block boundaries
 //!   (`shot_floor`, then doubling up to `shot_ceiling`), so results are
 //!   bit-identical for a fixed seed regardless of thread count or machine;
-//! * **checkpoint/resume** — committed tallies (always covering the stream
-//!   prefix `0..shots`) are persisted as JSON after every completed block;
-//!   a killed sweep resumed from its checkpoint *with the same
-//!   configuration* finishes with bit-identical statistics.  A *finished*
+//! * **checkpoint/resume** — after every completed block the sweep's
+//!   [`ShardPlan`], rebased on the committed tallies (each always covering
+//!   the stream prefix `0..shots`), is persisted as JSON; a killed sweep
+//!   resumed from its checkpoint *with the same configuration* finishes
+//!   with bit-identical statistics.  The same document is what the
+//!   `q3de-sweepctl` coordinator writes, so a single process can take
+//!   over a sharded sweep and vice versa.  A *finished*
 //!   sweep can also be extended by resuming with a larger ceiling; the
 //!   extended schedule doubles onward from the resumed count, so in
 //!   adaptive mode its convergence look-points (and therefore the final
@@ -58,9 +61,6 @@ pub mod coordinator;
 pub mod json;
 pub mod shard;
 
-mod checkpoint;
-
-pub use checkpoint::{Checkpoint, CheckpointPoint, CHECKPOINT_VERSION};
 pub use coordinator::{Coordinator, SubmitOutcome};
 pub use shard::{
     DeltaSink, EpochGate, PlanPoint, ShardPlan, ShardWorker, TallyDelta, PLAN_SCHEMA_VERSION,
@@ -366,7 +366,8 @@ pub struct SweepConfig {
     pub batch_size: usize,
     /// Worker threads; `None` uses [`std::thread::available_parallelism`].
     pub num_threads: Option<usize>,
-    /// Checkpoint file: written after every completed block, loaded by
+    /// Checkpoint file: the sweep's [`ShardPlan`] rebased on its committed
+    /// tallies, written after every completed block and loaded by
     /// [`SweepConfig::resume`].
     pub checkpoint: Option<PathBuf>,
     /// Whether to resume from an existing checkpoint file (a missing file
@@ -383,7 +384,7 @@ impl SweepConfig {
     /// 256, … shots per point) instead of only at completion, and a
     /// finished sweep can be extended by resuming with a larger `shots`
     /// (both runs need the same floor, i.e. `shots >= 64` in both, for the
-    /// checkpoint fingerprints to agree).
+    /// checkpoint to match).
     pub fn fixed(shots: usize) -> Self {
         Self {
             shot_floor: shots.min(64),
@@ -431,39 +432,6 @@ impl SweepConfig {
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
         self
-    }
-
-    /// The fingerprint persisted into checkpoints.  It covers everything
-    /// that determines which streams a tally is made of and where block
-    /// boundaries fall: the checkpoint schema version, the point ids (in
-    /// order), the shot floor, the stopping target and the confidence
-    /// quantile.  The shot *ceiling* is deliberately excluded so a finished
-    /// sweep can be extended by resuming with a larger budget (in adaptive
-    /// mode the extension's convergence look-points continue from the
-    /// resumed count rather than replaying a fresh schedule — see the
-    /// module docs).  `batch_size` and the thread/shard count are excluded
-    /// too, and *provably* so: a committed tally is a pure function of its
-    /// stream prefix `0..shots`, and block boundaries depend only on the
-    /// floor and ceiling, so a checkpoint resumes bit-identically under any
-    /// batch size or worker count (pinned by
-    /// `checkpoints_resume_across_batch_sizes_and_thread_counts` in this
-    /// module's tests).
-    pub fn fingerprint(&self, points: &[SweepPoint]) -> String {
-        let ids: Vec<&str> = points.iter().map(|p| p.id()).collect();
-        self.fingerprint_of_ids(&ids)
-    }
-
-    /// [`SweepConfig::fingerprint`] from bare point ids — what a
-    /// coordinator uses when it has only a [`ShardPlan`] (pure data, no
-    /// runnable kernels) and must still emit engine-compatible checkpoints.
-    pub fn fingerprint_of_ids(&self, ids: &[&str]) -> String {
-        format!(
-            "v{CHECKPOINT_VERSION};floor={};rse={:?};z={};ids={}",
-            self.shot_floor.clamp(1, self.shot_ceiling.max(1)),
-            self.target_rse,
-            self.confidence_z,
-            ids.join("\u{1f}")
-        )
     }
 
     /// The first block boundary of the schedule (0 for an empty sweep).
@@ -679,7 +647,7 @@ impl SweepReport {
 /// `.tmp` file first and only a successful write is renamed over `path`.
 /// A crash mid-write therefore never leaves a truncated file where a
 /// previous (complete) version existed — readers observe either the old
-/// document or the new one.  Checkpoints ([`Checkpoint::save`]) and
+/// document or the new one.  Checkpoints ([`ShardPlan::save`]) and
 /// reports ([`SweepReport::write_json`]) both persist through this helper;
 /// it is public so other JSON-artifact writers (e.g. the service bench)
 /// get the same guarantee.
@@ -696,6 +664,29 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<(), EngineError> {
     let tmp: PathBuf = path.with_extension("tmp");
     std::fs::write(&tmp, contents).map_err(io)?;
     std::fs::rename(&tmp, path).map_err(io)
+}
+
+/// Reads the JSON document at `path` and converts it with `parse` (an
+/// artifact's `from_json`): the read side of [`write_atomic`].
+///
+/// # Errors
+///
+/// Returns [`EngineError::Io`] when the file cannot be read and
+/// [`EngineError::Parse`] when it is not JSON or `parse` refuses it.
+pub fn read_document<T>(
+    path: &Path,
+    parse: impl FnOnce(&JsonValue) -> Result<T, String>,
+) -> Result<T, EngineError> {
+    let text = std::fs::read_to_string(path).map_err(|source| EngineError::Io {
+        path: path.to_path_buf(),
+        source,
+    })?;
+    JsonValue::parse(&text)
+        .and_then(|value| parse(&value))
+        .map_err(|message| EngineError::Parse {
+            path: path.to_path_buf(),
+            message,
+        })
 }
 
 /// Shared state of an in-process sharded sweep: the coordinator behind a
@@ -876,11 +867,7 @@ impl SweepRunner {
                 assert!(a.id() != b.id(), "duplicate sweep point id '{}'", a.id());
             }
         }
-        let fingerprint = config.fingerprint(&points);
-        let resumed = self.load_checkpoint(&fingerprint, &points)?;
-        let baselines: Option<Vec<(usize, usize)>> = resumed
-            .as_ref()
-            .map(|cp| cp.points.iter().map(|p| (p.shots, p.failures)).collect());
+        let baselines = self.load_checkpoint(&points)?;
 
         let threads = config
             .num_threads
@@ -928,7 +915,7 @@ impl SweepRunner {
                                 hub,
                                 seen_generation: 0,
                             };
-                            ShardWorker::new(plan, shard).run(points, &[], &mut sink, |_| {})
+                            ShardWorker::new(plan, shard).run(points, &[], &mut sink)
                         })
                     })
                     .collect();
@@ -953,58 +940,68 @@ impl SweepRunner {
     }
 
     /// Loads and validates the checkpoint configured for this sweep, if
-    /// resuming.  Returns tallies re-ordered to match `points`.
+    /// resuming, and returns its baselines: the committed `(shots,
+    /// failures)` of every point, in sweep order.
+    ///
+    /// The checkpoint must carry this sweep's point ids (in order), shot
+    /// floor, stopping target and confidence quantile — everything that
+    /// decides which streams a tally is made of and where block boundaries
+    /// fall.  The shot *ceiling* may differ, so a finished sweep can be
+    /// extended with a larger budget (in adaptive mode the extension's
+    /// convergence look-points continue from the resumed count rather than
+    /// replaying a fresh schedule — see the module docs).  The batch size
+    /// and the shard (thread) count may differ too, and provably so: a
+    /// committed tally is a pure function of its stream prefix `0..shots`,
+    /// and block boundaries depend only on the floor and ceiling (pinned by
+    /// `checkpoints_resume_across_batch_sizes_and_thread_counts`).
     fn load_checkpoint(
         &self,
-        fingerprint: &str,
         points: &[SweepPoint],
-    ) -> Result<Option<Checkpoint>, EngineError> {
+    ) -> Result<Option<Vec<(usize, usize)>>, EngineError> {
         let Some(path) = self.config.checkpoint.as_deref() else {
             return Ok(None);
         };
         if !self.config.resume || !path.exists() {
             return Ok(None);
         }
-        let checkpoint = Checkpoint::load(path)?;
-        if checkpoint.fingerprint != fingerprint {
-            return Err(EngineError::CheckpointMismatch {
-                reason: format!(
-                    "fingerprint mismatch (checkpoint '{}' vs sweep '{fingerprint}')",
-                    checkpoint.fingerprint
-                ),
-            });
+        let saved = ShardPlan::load(path)?;
+        let expected = ShardPlan::new(&self.config, points, None, 1);
+        let mismatch = |reason: String| Err(EngineError::CheckpointMismatch { reason });
+        let ids = |plan: &ShardPlan| -> Vec<String> {
+            plan.points.iter().map(|p| p.id.clone()).collect()
+        };
+        if ids(&saved) != ids(&expected) {
+            return mismatch(format!(
+                "checkpoint points {:?} are not this sweep's {:?}",
+                ids(&saved),
+                ids(&expected)
+            ));
         }
-        let mut ordered = Vec::with_capacity(points.len());
-        for point in points {
-            let entry = checkpoint
-                .points
-                .iter()
-                .find(|p| p.id == point.id())
-                .ok_or_else(|| EngineError::CheckpointMismatch {
-                    reason: format!("checkpoint has no tally for point '{}'", point.id()),
-                })?;
-            if entry.shots > self.config.shot_ceiling {
-                return Err(EngineError::CheckpointMismatch {
-                    reason: format!(
-                        "point '{}' already has {} shots, above the ceiling {}",
-                        point.id(),
-                        entry.shots,
-                        self.config.shot_ceiling
-                    ),
-                });
-            }
-            // Any resumed shot count is accepted as the point's current
-            // block boundary (the schedule continues doubling from it):
-            // checkpoints of *this* schedule are always at its own
-            // boundaries, which preserves bit-identity with an
-            // uninterrupted run, while checkpoints of a smaller finished
-            // sweep land wherever its old ceiling was and simply extend.
-            ordered.push(entry.clone());
+        let schedule = |plan: &ShardPlan| (plan.shot_floor, plan.target_rse, plan.confidence_z);
+        if schedule(&saved) != schedule(&expected) {
+            return mismatch(format!(
+                "checkpoint (floor, target, z) {:?} is not this sweep's {:?}",
+                schedule(&saved),
+                schedule(&expected)
+            ));
         }
-        Ok(Some(Checkpoint {
-            fingerprint: checkpoint.fingerprint,
-            points: ordered,
-        }))
+        // Any resumed shot count up to the ceiling is accepted as the
+        // point's current block boundary (the schedule continues doubling
+        // from it): checkpoints of *this* schedule are always at its own
+        // boundaries, which preserves bit-identity with an uninterrupted
+        // run, while checkpoints of a smaller finished sweep land wherever
+        // its old ceiling was and simply extend.
+        if let Some(point) = saved
+            .points
+            .iter()
+            .find(|p| p.base_shots > self.config.shot_ceiling)
+        {
+            return mismatch(format!(
+                "point '{}' already has {} shots, above the ceiling {}",
+                point.id, point.base_shots, self.config.shot_ceiling
+            ));
+        }
+        Ok(Some(saved.baselines()))
     }
 }
 
@@ -1159,12 +1156,12 @@ mod tests {
 
     #[test]
     fn checkpoints_resume_across_batch_sizes_and_thread_counts() {
-        // The fingerprint deliberately excludes `batch_size` and the
-        // thread/shard count: a committed tally is a pure function of its
-        // stream prefix `0..shots` and block boundaries depend only on the
-        // floor and ceiling, so a checkpoint written under one
-        // batch/thread setting must resume bit-identically under any
-        // other.  This is the proof the fingerprint doc promises.
+        // A checkpoint need not match `batch_size` or the thread/shard
+        // count: a committed tally is a pure function of its stream prefix
+        // `0..shots` and block boundaries depend only on the floor and
+        // ceiling, so a checkpoint written under one batch/thread setting
+        // must resume bit-identically under any other.  This is the proof
+        // `SweepRunner::load_checkpoint`'s doc promises.
         let path = temp_path("xbatch.json");
         let _ = std::fs::remove_file(&path);
         let full = SweepConfig {
@@ -1261,26 +1258,48 @@ mod tests {
     #[test]
     fn mismatched_checkpoints_are_rejected() {
         let path = temp_path("mismatch.json");
-        Checkpoint {
-            fingerprint: "something else".into(),
-            points: vec![CheckpointPoint {
-                id: "a".into(),
-                shots: 64,
-                failures: 1,
-            }],
+        // Foreign plans: other point ids, other floor, a stopping target,
+        // another quantile, and a tally above this sweep's ceiling.
+        let foreign = [
+            (SweepConfig::fixed(128), "b", 64),
+            (
+                SweepConfig {
+                    shot_floor: 32,
+                    ..SweepConfig::fixed(128)
+                },
+                "a",
+                64,
+            ),
+            (SweepConfig::adaptive(64, 128, 0.2), "a", 64),
+            (
+                SweepConfig {
+                    confidence_z: 3.0,
+                    ..SweepConfig::fixed(128)
+                },
+                "a",
+                64,
+            ),
+            (SweepConfig::fixed(256), "a", 256),
+        ];
+        let resume = |config: SweepConfig, id: &str, shots: usize| {
+            let points = [SweepPoint::new(id, noisy_kernel(1))];
+            ShardPlan::new(&config, &points, Some(&[(shots, 1)]), 1)
+                .save(&path)
+                .unwrap();
+            let config = SweepConfig::fixed(128)
+                .with_checkpoint(&path)
+                .with_resume(true);
+            SweepRunner::new(config).run(vec![SweepPoint::new("a", noisy_kernel(1))])
+        };
+        for (config, id, shots) in foreign {
+            let err = resume(config, id, shots).unwrap_err();
+            assert!(
+                matches!(err, EngineError::CheckpointMismatch { .. }),
+                "{err}"
+            );
         }
-        .save(&path)
-        .unwrap();
-        let config = SweepConfig::fixed(128)
-            .with_checkpoint(&path)
-            .with_resume(true);
-        let err = SweepRunner::new(config)
-            .run(vec![SweepPoint::new("a", noisy_kernel(1))])
-            .unwrap_err();
-        assert!(
-            matches!(err, EngineError::CheckpointMismatch { .. }),
-            "{err}"
-        );
+        // The control each foreign plan differs from by one field resumes.
+        resume(SweepConfig::fixed(128), "a", 64).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -25,6 +25,16 @@
 //! protocol (N in-process shards, one in-process coordinator); the
 //! `q3de-sweepd`/`q3de-sweepctl` binaries are the same protocol over files
 //! or TCP.
+//!
+//! A plan is also the one persisted form of sweep progress: a checkpoint
+//! is the sweep's plan with every point's baseline set to its committed
+//! tally ([`Coordinator::checkpoint`](super::coordinator::Coordinator::checkpoint)),
+//! saved with [`ShardPlan::save`].  `SweepRunner --checkpoint`,
+//! `q3de-sweepctl serve --checkpoint` and `merge --checkpoint` all write
+//! it; a single-process `--resume` and `q3de-sweepctl resume` both read
+//! its baselines.
+
+use std::path::Path;
 
 use super::json::JsonValue;
 use super::{EngineError, SweepConfig, SweepPoint};
@@ -36,12 +46,13 @@ pub const PLAN_SCHEMA_VERSION: u64 = 1;
 
 /// One point of a [`ShardPlan`]: its stable id plus the tally baseline the
 /// schedule continues from (non-zero when the plan extends a resumed
-/// checkpoint).
+/// checkpoint; in a checkpoint, the point's committed tally).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanPoint {
     /// The sweep point's stable identifier.
     pub id: String,
-    /// Shots already committed before this plan's first block.
+    /// Shots already committed before this plan's first block: the tally
+    /// covers exactly the streams `0..base_shots`.
     pub base_shots: usize,
     /// Failures among the baseline shots.
     pub base_failures: usize,
@@ -232,6 +243,35 @@ impl ShardPlan {
         self.points.iter().position(|p| p.id == id)
     }
 
+    /// Every point's baseline `(base_shots, base_failures)`, in plan order:
+    /// the committed tallies a resumed sweep continues from.
+    pub fn baselines(&self) -> Vec<(usize, usize)> {
+        self.points
+            .iter()
+            .map(|p| (p.base_shots, p.base_failures))
+            .collect()
+    }
+
+    /// Saves the plan to `path` atomically (via [`super::write_atomic`]), so
+    /// a crash mid-write never corrupts an existing checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Io`] when the file cannot be written.
+    pub fn save(&self, path: &Path) -> Result<(), EngineError> {
+        super::write_atomic(path, &format!("{}\n", self.to_json()))
+    }
+
+    /// Loads a plan (a checkpoint) from `path`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Io`] when the file cannot be read and
+    /// [`EngineError::Parse`] when it is not a valid plan document.
+    pub fn load(path: &Path) -> Result<Self, EngineError> {
+        super::read_document(path, Self::from_json)
+    }
+
     /// The plan as a JSON document (the body of a `plan.json` artifact).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
@@ -301,7 +341,7 @@ impl ShardPlan {
             .ok_or("plan missing points")?
             .iter()
             .map(|p| {
-                Ok(PlanPoint {
+                let point = PlanPoint {
                     id: p
                         .get("id")
                         .and_then(JsonValue::as_str)
@@ -315,7 +355,14 @@ impl ShardPlan {
                         .get("base_failures")
                         .and_then(JsonValue::as_usize)
                         .ok_or("plan point missing base_failures")?,
-                })
+                };
+                if point.base_failures > point.base_shots {
+                    return Err(format!(
+                        "plan point '{}': base_failures {} > base_shots {}",
+                        point.id, point.base_failures, point.base_shots
+                    ));
+                }
+                Ok(point)
             })
             .collect::<Result<Vec<_>, String>>()?;
         let plan = Self {
@@ -515,9 +562,7 @@ impl<'a> ShardWorker<'a> {
     }
 
     /// Runs the shard to completion against `points` (which must match the
-    /// plan's point list), re-submitting `completed` deltas first.  Every
-    /// fresh delta is also passed to `on_delta` before submission — the
-    /// hook shard checkpoints are written from.
+    /// plan's point list), re-submitting `completed` deltas first.
     ///
     /// # Errors
     ///
@@ -531,7 +576,6 @@ impl<'a> ShardWorker<'a> {
         points: &[SweepPoint],
         completed: &[TallyDelta],
         sink: &mut dyn DeltaSink,
-        mut on_delta: impl FnMut(&TallyDelta),
     ) -> Result<(), EngineError> {
         assert_eq!(points.len(), self.plan.points.len(), "plan/point mismatch");
         for (point, plan_point) in points.iter().zip(&self.plan.points) {
@@ -602,7 +646,6 @@ impl<'a> ShardWorker<'a> {
                     failures,
                     busy_secs: started.elapsed().as_secs_f64(),
                 };
-                on_delta(&delta);
                 sink.submit(delta)?;
                 next[p] += 1;
                 if next[p] >= self.plan.num_epochs(p) {
@@ -722,6 +765,108 @@ mod tests {
             ..plan.clone()
         };
         assert_ne!(other.fingerprint(), plan.fingerprint());
+    }
+
+    /// A plan carrying committed tallies: the shape of a checkpoint.
+    fn checkpoint_plan() -> ShardPlan {
+        let config = SweepConfig::adaptive(64, 1024, 0.2);
+        let points = vec![
+            SweepPoint::new("fig3/d=5/p=4e-3", |_s: u64| false),
+            SweepPoint::new("fig3/d=9/p=4e-3", |_s: u64| false),
+        ];
+        ShardPlan::new(&config, &points, Some(&[(128, 3), (64, 0)]), 2)
+    }
+
+    #[test]
+    fn json_roundtrip_preserves_everything() {
+        let plan = checkpoint_plan();
+        let parsed = ShardPlan::from_json(&plan.to_json()).unwrap();
+        assert_eq!(parsed, plan);
+        assert_eq!(parsed.baselines(), vec![(128, 3), (64, 0)]);
+    }
+
+    #[test]
+    fn save_and_load_roundtrip_through_disk() {
+        let dir = std::env::temp_dir().join(format!("q3de-plan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.json");
+        let plan = checkpoint_plan();
+        plan.save(&path).unwrap();
+        // A second save must atomically replace the first.
+        plan.save(&path).unwrap();
+        let loaded = ShardPlan::load(&path).unwrap();
+        assert_eq!(loaded, plan);
+        assert_eq!(loaded.baselines(), vec![(128, 3), (64, 0)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn missing_file_is_an_io_error() {
+        let err = ShardPlan::load(Path::new("/nonexistent/q3de/checkpoint.json")).unwrap_err();
+        assert!(matches!(err, EngineError::Io { .. }), "{err}");
+    }
+
+    #[test]
+    fn schema_violations_are_rejected() {
+        // The checkpoint document with field `key` replaced (or dropped).
+        let with = |key: &str, value: Option<JsonValue>| {
+            let mut doc = checkpoint_plan().to_json();
+            if let JsonValue::Object(fields) = &mut doc {
+                fields.retain(|(k, _)| k != key);
+                fields.extend(value.map(|v| (key.to_string(), v)));
+            }
+            doc
+        };
+        let point = |shots: f64, failures: f64| {
+            JsonValue::Array(vec![JsonValue::Object(vec![
+                ("id".into(), JsonValue::String("a".into())),
+                ("base_shots".into(), JsonValue::Number(shots)),
+                ("base_failures".into(), JsonValue::Number(failures)),
+            ])])
+        };
+        for (doc, what) in [
+            (with("schema_version", None), "missing schema version"),
+            (
+                JsonValue::parse(r#"{"version": 1, "fingerprint": "x", "points": []}"#).unwrap(),
+                "pre-rename version-1 checkpoint",
+            ),
+            (
+                with("schema_version", Some(JsonValue::Number(99.0))),
+                "unknown major",
+            ),
+            (with("points", None), "missing points"),
+            (with("shot_floor", None), "missing shot floor"),
+            (with("confidence_z", None), "missing quantile"),
+            (
+                with("num_shards", Some(JsonValue::Number(0.0))),
+                "zero shards",
+            ),
+            (
+                with("points", Some(point(1.0, 2.0))),
+                "base_failures > base_shots",
+            ),
+        ] {
+            assert!(ShardPlan::from_json(&doc).is_err(), "{what}");
+        }
+        assert!(ShardPlan::from_json(&with("points", Some(point(2.0, 2.0)))).is_ok());
+    }
+
+    #[test]
+    fn old_checkpoint_documents_are_refused() {
+        // The per-point tally checkpoint that preceded plan checkpoints
+        // (`schema_version` 2, a sweep fingerprint, `shots`/`failures`).
+        let dir = std::env::temp_dir().join(format!("q3de-old-cp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.json");
+        std::fs::write(
+            &path,
+            r#"{"schema_version":2,"fingerprint":"v2;floor=64;rse=None;z=1.959963984540054;ids=a","points":[{"id":"a","shots":64,"failures":1}]}"#,
+        )
+        .unwrap();
+        let err = ShardPlan::load(&path).unwrap_err();
+        assert!(matches!(err, EngineError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("schema version 2"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

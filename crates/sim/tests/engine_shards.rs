@@ -31,7 +31,7 @@ fn run_all_shards(plan: &ShardPlan, points: &[SweepPoint]) -> Vec<TallyDelta> {
     for shard in 0..plan.num_shards {
         let mut sink = Collect::default();
         ShardWorker::new(plan, shard)
-            .run(points, &[], &mut sink, |_| {})
+            .run(points, &[], &mut sink)
             .unwrap();
         deltas.extend(sink.0);
     }
@@ -165,7 +165,7 @@ fn stale_plan_deltas_are_refused() {
 
     // ...and a worker refuses to resume from another plan's checkpoint.
     let worker = ShardWorker::new(&plan, 0);
-    let resumed = worker.run(&points, &stale[..1], &mut Collect::default(), |_| {});
+    let resumed = worker.run(&points, &stale[..1], &mut Collect::default());
     assert!(matches!(
         resumed,
         Err(EngineError::CheckpointMismatch { .. })
@@ -214,7 +214,7 @@ fn killed_shard_resumes_from_its_deltas_without_rerunning() {
         committed: Vec::new(),
     };
     assert!(ShardWorker::new(&plan, 0)
-        .run(&points, &[], &mut dying, |_| {})
+        .run(&points, &[], &mut dying)
         .is_err());
     let after_crash = shots_run.load(Ordering::Relaxed);
     let committed_shots: usize = dying.committed.iter().map(|d| d.shots).sum();
@@ -227,7 +227,7 @@ fn killed_shard_resumes_from_its_deltas_without_rerunning() {
     // re-running their kernels, so it only runs the remaining blocks.
     let mut sink = Collect::default();
     ShardWorker::new(&plan, 0)
-        .run(&points, &dying.committed, &mut sink, |_| {})
+        .run(&points, &dying.committed, &mut sink)
         .unwrap();
     let rerun = shots_run.load(Ordering::Relaxed) - after_crash;
     let shard_total: usize = sink.0.iter().map(|d| d.shots).sum();
@@ -242,7 +242,7 @@ fn killed_shard_resumes_from_its_deltas_without_rerunning() {
     coordinator.submit_all(&sink.0).unwrap();
     let mut other = Collect::default();
     ShardWorker::new(&plan, 1)
-        .run(&points, &[], &mut other, |_| {})
+        .run(&points, &[], &mut other)
         .unwrap();
     coordinator.submit_all(&other.0).unwrap();
     assert!(coordinator.all_finished());

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use q3de::sim::engine::{Checkpoint, EngineError, SweepConfig, SweepPoint, SweepRunner};
+use q3de::sim::engine::{EngineError, ShardPlan, SweepConfig, SweepPoint, SweepRunner};
 use q3de::sim::{
     AnomalyInjection, ChipMemoryExperimentConfig, ChipStrikePolicy, DecodingStrategy,
     MemoryExperiment, MemoryExperimentConfig,
@@ -54,8 +54,8 @@ fn resumed_sweep_is_bit_identical_to_an_uninterrupted_one() {
     SweepRunner::new(SweepConfig::fixed(64).with_checkpoint(&path))
         .run(memory_points())
         .unwrap();
-    let partial = Checkpoint::load(&path).unwrap();
-    assert!(partial.points.iter().all(|p| p.shots == 64));
+    let partial = ShardPlan::load(&path).unwrap();
+    assert!(partial.points.iter().all(|p| p.base_shots == 64));
 
     // Resume with the full budget: statistics must match bit for bit.
     let resumed = SweepRunner::new(
@@ -76,8 +76,8 @@ fn resumed_sweep_is_bit_identical_to_an_uninterrupted_one() {
     }
     // The final checkpoint reflects the completed sweep and can be resumed
     // again as a no-op.
-    let finished = Checkpoint::load(&path).unwrap();
-    assert!(finished.points.iter().all(|p| p.shots == 256));
+    let finished = ShardPlan::load(&path).unwrap();
+    assert!(finished.points.iter().all(|p| p.base_shots == 256));
     std::fs::remove_file(&path).unwrap();
 }
 
