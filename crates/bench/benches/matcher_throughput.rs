@@ -11,7 +11,7 @@
 //! d = 11; `-- --test` runs a one-iteration smoke pass.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use q3de::decoder::{DecoderConfig, MatcherKind, SurfaceDecoder, SyndromeHistory, WeightModel};
+use q3de::decoder::{DecoderConfig, DecoderContext, MatcherKind, SyndromeHistory, WeightModel};
 use q3de::lattice::{ErrorKind, MatchingGraph};
 use q3de::sim::{AnomalyInjection, DecodingStrategy, MemoryExperiment, MemoryExperimentConfig};
 use rand::SeedableRng;
@@ -55,11 +55,8 @@ fn bench_matcher_throughput(c: &mut Criterion) {
             group.bench_function(format!("d{d}/{}", kind.name()), |b| {
                 // One decoder per bench: iterations decode on a warm context,
                 // which is exactly how the Monte-Carlo kernels run it.
-                let mut decoder = SurfaceDecoder::with_config(
-                    &fix.graph,
-                    DecoderConfig::default().with_matcher(kind),
-                );
-                b.iter(|| black_box(decoder.decode(&fix.history, &fix.model)));
+                let mut decoder = DecoderContext::new(DecoderConfig::default().with_matcher(kind));
+                b.iter(|| black_box(decoder.decode(&fix.graph, &fix.history, &fix.model)));
             });
         }
     }
@@ -77,13 +74,12 @@ fn bench_matcher_throughput(c: &mut Criterion) {
 fn report_speedup(d: usize) {
     let fix = fixture(d, 7);
     let time = |kind: MatcherKind, iters: u32| {
-        let mut decoder =
-            SurfaceDecoder::with_config(&fix.graph, DecoderConfig::default().with_matcher(kind));
+        let mut decoder = DecoderContext::new(DecoderConfig::default().with_matcher(kind));
         // warm-up
-        black_box(decoder.decode(&fix.history, &fix.model));
+        black_box(decoder.decode(&fix.graph, &fix.history, &fix.model));
         let start = Instant::now();
         for _ in 0..iters {
-            black_box(decoder.decode(&fix.history, &fix.model));
+            black_box(decoder.decode(&fix.graph, &fix.history, &fix.model));
         }
         start.elapsed().as_secs_f64() / iters as f64
     };

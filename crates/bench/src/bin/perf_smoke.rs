@@ -12,7 +12,7 @@
 //! Run with `--help` for the flag set (`--baseline` and `--max-regression`
 //! arm the regression gate).
 
-use q3de::decoder::{ContextPool, DecoderConfig, MatcherKind, SyndromeHistory};
+use q3de::decoder::{graph_key, ContextPool, DecoderConfig, MatcherKind, SyndromeHistory};
 use q3de::lattice::ErrorKind;
 use q3de::service::{DecodeServer, ServiceConfig, SERVICE_SCHEMA_VERSION};
 use q3de::sim::engine::json::{check_schema_version, JsonValue};
@@ -50,7 +50,7 @@ fn decode_window_point(base_seed: u64, matcher: MatcherKind, id: &'static str) -
     let pool = ContextPool::new(DecoderConfig::default().with_matcher(matcher));
     SweepPoint::new(id, move |stream: u64| {
         let (history, parity) = &windows[(stream % WINDOWS) as usize];
-        pool.with(|context| {
+        pool.with(graph_key(&graph, history.num_layers()), |context| {
             context
                 .decode_with_rollback(&graph, 5e-3, history, Some(&[region]), 0)
                 .final_outcome()

@@ -32,11 +32,11 @@ use std::sync::Mutex;
 ///
 /// Exposed so multi-tenant schedulers can route work to a context whose
 /// cache already holds the right structure (see
-/// [`ContextPool::with_affinity`]); build one with [`graph_key`].
+/// [`ContextPool::checkout`]); build one with [`graph_key`].
 pub type GraphKey = (ErrorKind, usize, usize, usize);
 
 /// The [`GraphKey`] a decode of `num_layers` layers over `graph` caches
-/// under — the affinity key for [`ContextPool::with_affinity`].
+/// under — the affinity key for [`ContextPool::checkout`].
 pub fn graph_key(graph: &MatchingGraph, num_layers: usize) -> GraphKey {
     (
         graph.kind(),
@@ -111,22 +111,11 @@ impl DecoderContext {
         self.config
     }
 
-    /// The name of the matching backend in use.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Whether a space-time graph is currently cached.
-    pub fn is_warm(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// The structural key of the cached space-time graph, if any — what a
-    /// decode must match to reuse the cache without a rebuild.  Schedulers
-    /// that multiplex heterogeneous workloads over a shared pool compare
-    /// this against [`graph_key`] of the next window to route work onto an
-    /// already-warm context (see [`ContextPool::with_affinity`]).
-    pub fn cached_structure(&self) -> Option<GraphKey> {
+    /// decode must match to reuse the cache without a rebuild.  The pool
+    /// compares it against [`graph_key`] of the next window to route work
+    /// onto an already-warm context (see [`ContextPool::checkout`]).
+    fn cached_structure(&self) -> Option<GraphKey> {
         self.cache.as_ref().map(|cache| cache.key)
     }
 
@@ -143,17 +132,10 @@ impl DecoderContext {
         self.reweights
     }
 
-    /// Drops the cached space-time graph.  Decoding works identically
-    /// afterwards; the next call simply rebuilds.  Callers that deform the
-    /// lattice (code expansion/shrink) may invalidate eagerly, though the
-    /// structural cache key catches such changes on its own.
-    pub fn invalidate(&mut self) {
-        self.cache = None;
-    }
-
-    /// Decodes a syndrome window under the given weight model — the
-    /// persistent-state equivalent of building a fresh
-    /// [`crate::SurfaceDecoder`] per window.
+    /// Decodes a syndrome window under the given weight model, reusing the
+    /// cached space-time graph when the window shape matches (see the
+    /// invalidation rules above).  The result is bit-identical to a fresh
+    /// context's.
     ///
     /// # Panics
     ///
@@ -262,11 +244,26 @@ impl DecoderContext {
         outcome
     }
 
-    /// The two-pass Q3DE rollback flow on persistent state: a blind pass
-    /// under `WeightModel::uniform(base_rate)`, then — when
-    /// `detected_regions` is non-empty — a re-executed pass under
-    /// anomaly-aware weights for the same window.  Both passes share the
-    /// cached graph; the second pass only re-weights the region edges.
+    /// The two-pass rollback flow of Sec. VI-C — the "optimized error
+    /// DEcoding" of Q3DE:
+    ///
+    /// 1. the window is decoded with uniform (anomaly-blind) weights,
+    ///    `WeightModel::uniform(base_rate)`, exactly as a conventional
+    ///    architecture would;
+    /// 2. when the anomaly-detection unit reports MBBE regions
+    ///    (`detected_regions` is `Some` and non-empty), the state of the
+    ///    syndrome queue and decoding unit is rolled back and the same
+    ///    window is re-decoded with [`WeightModel::AnomalyAware`] weights;
+    ///    `window_start_cycle` maps event layer 0 to an absolute code cycle
+    ///    so the regions' activity windows line up.
+    ///
+    /// The queue bookkeeping that makes the rollback cheap in hardware
+    /// (enlarged syndrome queue, matching queue batches, instruction history
+    /// buffer) is modelled in the `q3de-control` crate; this method captures
+    /// the decoding semantics.  Both passes run through the configured
+    /// backend and share the cached graph: the blind pass reuses it
+    /// untouched and the re-executed pass only re-weights the edges inside
+    /// the detected regions.
     pub fn decode_with_rollback(
         &mut self,
         graph: &MatchingGraph,
@@ -295,10 +292,11 @@ impl DecoderContext {
 ///
 /// The Monte-Carlo kernels run shots from many worker threads through
 /// `&self` closures, so they cannot hold a `&mut DecoderContext` each.  The
-/// pool bridges that: [`ContextPool::with`] checks a context out (creating
-/// one only when every pooled context is busy), runs the closure, and
-/// returns it warm.  Steady state is one context per concurrently decoding
-/// worker — decoders are constructed once per worker, not once per shot.
+/// pool bridges that: [`ContextPool::with`] checks out a context warm for
+/// the window's structure (creating one only when none is idle), runs the
+/// closure, and returns it warm.  Steady state is one context per
+/// concurrently decoding worker and window structure — decoders are
+/// constructed once per worker, not once per shot.
 pub struct ContextPool {
     config: DecoderConfig,
     pool: Mutex<Vec<DecoderContext>>,
@@ -324,20 +322,6 @@ impl ContextPool {
         self.pool.lock().expect("context pool poisoned").len()
     }
 
-    /// Checks a context out of the pool, creating a cold one when every
-    /// pooled context is busy.  Pair with [`ContextPool::checkin`]; the
-    /// closure-style [`ContextPool::with`]/[`ContextPool::with_affinity`]
-    /// wrappers do that automatically and should be preferred unless the
-    /// checkout must outlive a closure (e.g. a long-running service worker
-    /// holding a context across a blocking decode).
-    pub fn checkout(&self) -> DecoderContext {
-        self.pool
-            .lock()
-            .expect("context pool poisoned")
-            .pop()
-            .unwrap_or_else(|| DecoderContext::new(self.config))
-    }
-
     /// Checks a context out of the pool, preferring one whose cached
     /// space-time graph already matches `key` (see [`graph_key`]), then a
     /// context with no cached graph at all, and only then a cold new one.
@@ -348,7 +332,13 @@ impl ContextPool {
     /// structure gravitates onto its own warm context, and the pool grows
     /// to at most one idle context per distinct structure plus one per
     /// concurrent checkout.
-    pub fn checkout_for(&self, key: GraphKey) -> DecoderContext {
+    ///
+    /// Pair with [`ContextPool::checkin`]; the closure-style
+    /// [`ContextPool::with`] does that automatically and should be
+    /// preferred unless the checkout must outlive a closure (e.g. a
+    /// long-running service worker holding a context across a blocking
+    /// decode).
+    pub fn checkout(&self, key: GraphKey) -> DecoderContext {
         let mut pool = self.pool.lock().expect("context pool poisoned");
         if let Some(index) = pool
             .iter()
@@ -384,19 +374,11 @@ impl ContextPool {
             .push(context);
     }
 
-    /// Runs `f` with a pooled context, checking it back in afterwards.  If
-    /// `f` panics the context is dropped, never returned to the pool.
-    pub fn with<T>(&self, f: impl FnOnce(&mut DecoderContext) -> T) -> T {
-        let mut context = self.checkout();
-        let result = f(&mut context);
-        self.checkin(context);
-        result
-    }
-
     /// Runs `f` with a pooled context that prefers the structure `key`
-    /// (see [`ContextPool::checkout_for`]), checking it back in afterwards.
-    pub fn with_affinity<T>(&self, key: GraphKey, f: impl FnOnce(&mut DecoderContext) -> T) -> T {
-        let mut context = self.checkout_for(key);
+    /// (see [`ContextPool::checkout`]), checking it back in afterwards.  If
+    /// `f` panics the context is dropped, never returned to the pool.
+    pub fn with<T>(&self, key: GraphKey, f: impl FnOnce(&mut DecoderContext) -> T) -> T {
+        let mut context = self.checkout(key);
         let result = f(&mut context);
         self.checkin(context);
         result
@@ -444,18 +426,12 @@ mod tests {
         let history = static_history(&code, &error, 3);
         let model = WeightModel::uniform(1e-3);
         let mut context = DecoderContext::new(DecoderConfig::default());
-        assert!(!context.is_warm());
         let first = context.decode(&graph, &history, &model);
         for _ in 0..5 {
             assert_eq!(context.decode(&graph, &history, &model), first);
         }
         assert_eq!(context.graph_builds(), 1, "one build, five reuses");
         assert_eq!(context.reweights(), 0);
-        assert!(context.is_warm());
-        context.invalidate();
-        assert!(!context.is_warm());
-        assert_eq!(context.decode(&graph, &history, &model), first);
-        assert_eq!(context.graph_builds(), 2);
     }
 
     #[test]
@@ -466,7 +442,7 @@ mod tests {
             .into_iter()
             .collect();
         let history = static_history(&code, &error, 3);
-        let region = q3de_noise::AnomalousRegion::new(Coord::new(0, 2), 4, 0, 100, 0.5);
+        let region = AnomalousRegion::new(Coord::new(0, 2), 4, 0, 100, 0.5);
         let uniform = WeightModel::uniform(1e-3);
         let aware = WeightModel::anomaly_aware(1e-3, vec![region], 0);
         let mut context = DecoderContext::new(DecoderConfig::default());
@@ -504,11 +480,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rollback_on_context_matches_the_reexecuting_decoder() {
+    fn burst_setup() -> (SurfaceCode, PauliString, AnomalousRegion) {
         let code = SurfaceCode::new(5).unwrap();
-        let graph = code.matching_graph(ErrorKind::X);
-        let region = q3de_noise::AnomalousRegion::new(Coord::new(0, 2), 4, 0, 100, 0.5);
+        let region = AnomalousRegion::new(Coord::new(0, 2), 4, 0, 100, 0.5);
         let error: PauliString = [
             (Coord::new(0, 2), Pauli::X),
             (Coord::new(0, 4), Pauli::X),
@@ -516,19 +490,109 @@ mod tests {
         ]
         .into_iter()
         .collect();
+        (code, error, region)
+    }
+
+    fn error_cut_parity(code: &SurfaceCode, error: &PauliString) -> bool {
+        code.logical_z_support()
+            .iter()
+            .filter(|&&q| error.get(q).has_x_component())
+            .count()
+            % 2
+            == 1
+    }
+
+    #[test]
+    fn rollback_equals_a_blind_then_an_aware_decode() {
+        const START: u64 = 7;
+        let (code, error, _) = burst_setup();
+        // The region switches on at cycle START, so only a second pass
+        // anchored at START (not at cycle 0) sees it.
+        let region = AnomalousRegion::new(Coord::new(0, 2), 4, START, 100, 0.5);
+        let graph = code.matching_graph(ErrorKind::X);
         let history = static_history(&code, &error, 3);
-        // same config on both sides: ReExecutingDecoder::new defaults to the
-        // alternating-tree backend, so build the context from its config
-        let mut decoder = crate::ReExecutingDecoder::new(&graph, 1e-3);
-        let mut context = DecoderContext::new(decoder.config());
-        let outcome = context.decode_with_rollback(&graph, 1e-3, &history, Some(&[region]), 0);
+        let mut context = DecoderContext::new(DecoderConfig::default());
+        let outcome = context.decode_with_rollback(&graph, 1e-3, &history, Some(&[region]), START);
         assert!(outcome.was_rolled_back());
-        let reference = decoder.decode(&history, Some(&[region]), 0);
-        assert_eq!(outcome, reference);
+        let blind = DecoderContext::new(DecoderConfig::default()).decode(
+            &graph,
+            &history,
+            &WeightModel::uniform(1e-3),
+        );
+        let aware = DecoderContext::new(DecoderConfig::default()).decode(
+            &graph,
+            &history,
+            &WeightModel::anomaly_aware(1e-3, vec![region], START),
+        );
+        assert_ne!(aware, blind, "the region must change the decode");
+        assert_eq!(outcome.first_pass, blind);
+        assert_eq!(outcome.second_pass, Some(aware));
         // no detection → no second pass, still cached
-        let quiet = context.decode_with_rollback(&graph, 1e-3, &history, None, 0);
+        let quiet = context.decode_with_rollback(&graph, 1e-3, &history, None, START);
         assert!(!quiet.was_rolled_back());
         assert_eq!(context.graph_builds(), 1);
+    }
+
+    #[test]
+    fn no_detection_means_no_rollback() {
+        let (code, error, _) = burst_setup();
+        let graph = code.matching_graph(ErrorKind::X);
+        let mut context = DecoderContext::new(DecoderConfig::default());
+        let history = static_history(&code, &error, 3);
+        let outcome = context.decode_with_rollback(&graph, 1e-3, &history, None, 0);
+        assert!(!outcome.was_rolled_back());
+        assert!(outcome.second_pass.is_none());
+        assert!(!outcome.reexecution_changed_parity());
+        let outcome2 = context.decode_with_rollback(&graph, 1e-3, &history, Some(&[]), 0);
+        assert!(!outcome2.was_rolled_back());
+    }
+
+    #[test]
+    fn rollback_reexecutes_and_fixes_the_burst() {
+        let (code, error, region) = burst_setup();
+        let graph = code.matching_graph(ErrorKind::X);
+        let mut context = DecoderContext::new(DecoderConfig::default());
+        let history = static_history(&code, &error, 3);
+        let error_parity = error_cut_parity(&code, &error);
+
+        let outcome = context.decode_with_rollback(&graph, 1e-3, &history, Some(&[region]), 0);
+        assert!(outcome.was_rolled_back());
+        assert!(outcome.first_pass.is_logical_failure(error_parity));
+        assert!(!outcome.final_outcome().is_logical_failure(error_parity));
+        assert!(outcome.reexecution_changed_parity());
+    }
+
+    #[test]
+    fn rollback_is_backend_generic() {
+        // Every matching backend must support the two-pass rollback flow and
+        // fix the burst after re-weighting.
+        let (code, error, region) = burst_setup();
+        let graph = code.matching_graph(ErrorKind::X);
+        let history = static_history(&code, &error, 3);
+        let error_parity = error_cut_parity(&code, &error);
+        for kind in MatcherKind::ALL {
+            let mut context = DecoderContext::new(DecoderConfig::default().with_matcher(kind));
+            let outcome = context.decode_with_rollback(&graph, 1e-3, &history, Some(&[region]), 0);
+            assert!(outcome.was_rolled_back(), "{kind:?}");
+            assert!(
+                !outcome.final_outcome().is_logical_failure(error_parity),
+                "{kind:?}: re-executed pass must fix the burst"
+            );
+        }
+    }
+
+    #[test]
+    fn final_outcome_prefers_second_pass() {
+        let (code, error, region) = burst_setup();
+        let graph = code.matching_graph(ErrorKind::X);
+        let mut context = DecoderContext::new(DecoderConfig::default());
+        let history = static_history(&code, &error, 3);
+        let outcome = context.decode_with_rollback(&graph, 1e-3, &history, Some(&[region]), 0);
+        let second = outcome.second_pass.as_ref().unwrap();
+        assert_eq!(
+            outcome.final_outcome().correction_crosses_cut(),
+            second.correction_crosses_cut()
+        );
     }
 
     #[test]
@@ -540,9 +604,10 @@ mod tests {
         let error: PauliString = [(Coord::new(0, 0), Pauli::X)].into_iter().collect();
         let history = static_history(&code, &error, 2);
         let model = WeightModel::uniform(1e-3);
-        let first = pool.with(|context| context.decode(&graph, &history, &model));
+        let key = graph_key(&graph, history.num_layers());
+        let first = pool.with(key, |context| context.decode(&graph, &history, &model));
         assert_eq!(pool.idle_contexts(), 1);
-        let (second, builds) = pool.with(|context| {
+        let (second, builds) = pool.with(key, |context| {
             (
                 context.decode(&graph, &history, &model),
                 context.graph_builds(),
@@ -572,8 +637,8 @@ mod tests {
 
         // Warm one context per structure (checked out simultaneously so
         // the pool is forced to create two).
-        let mut a = pool.checkout_for(ks);
-        let mut b = pool.checkout_for(kl);
+        let mut a = pool.checkout(ks);
+        let mut b = pool.checkout(kl);
         a.decode(&gs, &hs, &model);
         b.decode(&gl, &hl, &model);
         assert_eq!(a.cached_structure(), Some(ks));
@@ -585,20 +650,18 @@ mod tests {
         // Interleaved heterogeneous decodes: affinity must find the
         // matching warm context every time, so no structure ever rebuilds.
         for _ in 0..4 {
-            pool.with_affinity(ks, |context| {
+            pool.with(ks, |context| {
                 context.decode(&gs, &hs, &model);
                 assert_eq!(context.graph_builds(), 1, "small context stays warm");
             });
-            pool.with_affinity(kl, |context| {
+            pool.with(kl, |context| {
                 context.decode(&gl, &hl, &model);
                 assert_eq!(context.graph_builds(), 1, "large context stays warm");
             });
         }
-        // Plain `with` (no affinity) on the same pool would have rebuilt:
-        // it pops in LIFO order, which alternates structures here.
         let total_builds: u64 = {
-            let a = pool.checkout();
-            let b = pool.checkout();
+            let a = pool.checkout(ks);
+            let b = pool.checkout(kl);
             let builds = a.graph_builds() + b.graph_builds();
             pool.checkin(a);
             pool.checkin(b);

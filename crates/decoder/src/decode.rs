@@ -1,13 +1,19 @@
-//! The surface-code decoder: detection events → matching → correction parity.
+//! Decoder configuration and the results of decoding a window: detection
+//! events → matching → correction parity.
 
 use crate::spacetime::BoundarySide;
-use crate::{DetectionEvent, SyndromeHistory, WeightModel};
-use q3de_lattice::MatchingGraph;
+use crate::DetectionEvent;
 use q3de_matching::{AltTreeBackend, DecoderBackend, GreedyBackend, MatcherKind, UnionFindDecoder};
 
-/// Configuration of the [`SurfaceDecoder`]: which matching backend decodes
-/// the syndrome windows.  The default is the exact alternating-tree
+/// Configuration of a [`crate::DecoderContext`]: which matching backend
+/// decodes the syndrome windows.  The default is the exact alternating-tree
 /// matcher ([`MatcherKind::Tree`]).
+///
+/// Performance note: the greedy backend extracts pairwise defect costs with
+/// Dijkstra on the sparse graph even under uniform weights (where a
+/// closed-form Manhattan metric — still available via
+/// [`crate::SpaceTimeCosts`] — would be cheaper).  The tree and union-find
+/// backends skip dense cost extraction entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecoderConfig {
     /// Which matching backend decodes the syndrome windows.
@@ -91,78 +97,45 @@ impl DecodeOutcome {
     }
 }
 
-/// A matching decoder for one error sector of the surface code.
-///
-/// The decoder builds the sparse space-time graph of the syndrome window
-/// ([`crate::SpaceTimeGraph`]), hands it together with the detection events
-/// to the configured [`DecoderBackend`] (the exact tree matcher by default,
-/// or greedy / union-find — see [`MatcherKind`]), and reports the
-/// correction parity needed for the logical-failure check.  Anomaly-aware
-/// re-weighting is applied when the graph is built, so every backend
-/// decodes the same re-weighted costs.
-///
-/// `SurfaceDecoder` is a convenience wrapper binding one layer graph to an
-/// owned [`crate::DecoderContext`]: decoding takes `&mut self` because the context
-/// keeps the space-time graph and the backend scratch warm between calls
-/// (see the context docs for the invalidation rules).  Reuse changes
-/// nothing but speed — every decode is bit-identical to a fresh decoder's.
-///
-/// Performance note: the greedy backend extracts pairwise defect costs with
-/// Dijkstra on the sparse graph even under uniform weights (where a
-/// closed-form Manhattan metric — still available via
-/// [`crate::SpaceTimeCosts`] — would be cheaper).  The tree and union-find
-/// backends skip dense cost extraction entirely.
-#[derive(Debug)]
-pub struct SurfaceDecoder<'g> {
-    graph: &'g MatchingGraph,
-    context: crate::DecoderContext,
+/// The result of the two-pass rollback flow
+/// ([`crate::DecoderContext::decode_with_rollback`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReExecutionOutcome {
+    /// The first, anomaly-blind decoding pass.
+    pub first_pass: DecodeOutcome,
+    /// The second pass with anomaly-aware weights, present only when an
+    /// anomaly was reported and the window was rolled back.
+    pub second_pass: Option<DecodeOutcome>,
 }
 
-impl<'g> SurfaceDecoder<'g> {
-    /// Creates a decoder with the default configuration.
-    pub fn new(graph: &'g MatchingGraph) -> Self {
-        Self::with_config(graph, DecoderConfig::default())
+impl ReExecutionOutcome {
+    /// The outcome that is ultimately committed to the Pauli frame: the
+    /// re-executed pass when it exists, the first pass otherwise.
+    pub fn final_outcome(&self) -> &DecodeOutcome {
+        self.second_pass.as_ref().unwrap_or(&self.first_pass)
     }
 
-    /// Creates a decoder with an explicit configuration.
-    pub fn with_config(graph: &'g MatchingGraph, config: DecoderConfig) -> Self {
-        Self {
-            graph,
-            context: crate::DecoderContext::new(config),
+    /// Whether the window was rolled back and re-decoded.
+    pub fn was_rolled_back(&self) -> bool {
+        self.second_pass.is_some()
+    }
+
+    /// Whether re-execution changed the logical-correction parity — the
+    /// situations in which the rollback actually mattered.
+    pub fn reexecution_changed_parity(&self) -> bool {
+        match &self.second_pass {
+            Some(second) => {
+                second.correction_crosses_cut() != self.first_pass.correction_crosses_cut()
+            }
+            None => false,
         }
-    }
-
-    /// The layer graph the decoder operates on.
-    pub fn graph(&self) -> &MatchingGraph {
-        self.graph
-    }
-
-    /// The decoder configuration.
-    pub fn config(&self) -> DecoderConfig {
-        self.context.config()
-    }
-
-    /// The persistent decoding state (cached space-time graph, backend
-    /// scratch).
-    pub fn context(&self) -> &crate::DecoderContext {
-        &self.context
-    }
-
-    /// Decodes a syndrome window under the given weight model, reusing the
-    /// cached space-time graph from earlier calls when the window shape
-    /// matches (see [`crate::DecoderContext`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the history's node count does not match the layer graph.
-    pub fn decode(&mut self, history: &SyndromeHistory, model: &WeightModel) -> DecodeOutcome {
-        self.context.decode(self.graph, history, model)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DecoderContext, SyndromeHistory, WeightModel};
     use q3de_lattice::{Coord, ErrorKind, Pauli, PauliString, StabilizerKind, SurfaceCode};
 
     /// Builds a syndrome history for a *static* data-qubit error pattern
@@ -190,9 +163,9 @@ mod tests {
 
     fn decode_static(code: &SurfaceCode, error: &PauliString) -> bool {
         let graph = code.matching_graph(ErrorKind::X);
-        let mut decoder = SurfaceDecoder::new(&graph);
+        let mut decoder = DecoderContext::new(DecoderConfig::default());
         let history = static_history(code, error, 3);
-        let outcome = decoder.decode(&history, &WeightModel::uniform(1e-3));
+        let outcome = decoder.decode(&graph, &history, &WeightModel::uniform(1e-3));
         outcome.is_logical_failure(error_cut_parity(code, error))
     }
 
@@ -200,12 +173,12 @@ mod tests {
     fn empty_syndrome_decodes_trivially() {
         let code = SurfaceCode::new(3).unwrap();
         let graph = code.matching_graph(ErrorKind::X);
-        let mut decoder = SurfaceDecoder::new(&graph);
+        let mut decoder = DecoderContext::new(DecoderConfig::default());
         let mut h = SyndromeHistory::new(graph.num_nodes());
         for _ in 0..4 {
             h.push_layer(&vec![false; graph.num_nodes()]);
         }
-        let outcome = decoder.decode(&h, &WeightModel::uniform(1e-3));
+        let outcome = decoder.decode(&graph, &h, &WeightModel::uniform(1e-3));
         assert_eq!(outcome.num_events(), 0);
         assert!(!outcome.correction_crosses_cut());
         assert!(!outcome.is_logical_failure(false));
@@ -279,7 +252,7 @@ mod tests {
         // that should be matched together (not to the boundary).
         let code = SurfaceCode::new(5).unwrap();
         let graph = code.matching_graph(ErrorKind::X);
-        let mut decoder = SurfaceDecoder::new(&graph);
+        let mut decoder = DecoderContext::new(DecoderConfig::default());
         let n = graph.num_nodes();
         let mut h = SyndromeHistory::new(n);
         let mut blip = vec![false; n];
@@ -289,7 +262,7 @@ mod tests {
         h.push_layer(&blip);
         h.push_layer(&vec![false; n]);
         h.push_layer(&vec![false; n]);
-        let outcome = decoder.decode(&h, &WeightModel::uniform(1e-3));
+        let outcome = decoder.decode(&graph, &h, &WeightModel::uniform(1e-3));
         assert_eq!(outcome.num_events(), 2);
         assert_eq!(outcome.pairs.len(), 1);
         assert!(outcome.boundary_matches.is_empty());
@@ -300,12 +273,12 @@ mod tests {
     fn boundary_matches_pick_the_nearest_side() {
         let code = SurfaceCode::new(5).unwrap();
         let graph = code.matching_graph(ErrorKind::X);
-        let mut decoder = SurfaceDecoder::new(&graph);
+        let mut decoder = DecoderContext::new(DecoderConfig::default());
         // single X error on the leftmost data qubit of row 0 → one event next
         // to the low boundary
         let error: PauliString = [(Coord::new(0, 0), Pauli::X)].into_iter().collect();
         let history = static_history(&code, &error, 2);
-        let outcome = decoder.decode(&history, &WeightModel::uniform(1e-3));
+        let outcome = decoder.decode(&graph, &history, &WeightModel::uniform(1e-3));
         assert_eq!(outcome.boundary_matches.len(), 1);
         assert_eq!(outcome.boundary_matches[0].1, BoundarySide::Low);
         assert!(outcome.correction_crosses_cut());
@@ -322,7 +295,7 @@ mod tests {
         // events across the (cheap) region.
         let code = SurfaceCode::new(5).unwrap();
         let graph = code.matching_graph(ErrorKind::X);
-        let mut decoder = SurfaceDecoder::new(&graph);
+        let mut decoder = DecoderContext::new(DecoderConfig::default());
         // anomalous band: columns 2..6 of every row (size 2 region at col 2)
         let region = q3de_noise::AnomalousRegion::new(Coord::new(0, 2), 4, 0, 100, 0.5);
         // actual error: X on the three data qubits of row 0 inside the band
@@ -336,8 +309,12 @@ mod tests {
         let history = static_history(&code, &error, 3);
         let parity = error_cut_parity(&code, &error);
 
-        let blind = decoder.decode(&history, &WeightModel::uniform(1e-3));
-        let aware = decoder.decode(&history, &WeightModel::anomaly_aware(1e-3, vec![region], 0));
+        let blind = decoder.decode(&graph, &history, &WeightModel::uniform(1e-3));
+        let aware = decoder.decode(
+            &graph,
+            &history,
+            &WeightModel::anomaly_aware(1e-3, vec![region], 0),
+        );
         assert!(
             blind.is_logical_failure(parity),
             "blind decoding should mis-correct"
@@ -352,13 +329,13 @@ mod tests {
     fn clusters_are_reported() {
         let code = SurfaceCode::new(7).unwrap();
         let graph = code.matching_graph(ErrorKind::X);
-        let mut decoder = SurfaceDecoder::new(&graph);
+        let mut decoder = DecoderContext::new(DecoderConfig::default());
         // two well-separated single errors → two independent clusters
         let error: PauliString = [(Coord::new(0, 0), Pauli::X), (Coord::new(12, 12), Pauli::X)]
             .into_iter()
             .collect();
         let history = static_history(&code, &error, 2);
-        let outcome = decoder.decode(&history, &WeightModel::uniform(1e-3));
+        let outcome = decoder.decode(&graph, &history, &WeightModel::uniform(1e-3));
         assert!(outcome.num_clusters >= 2);
         assert!(!outcome.is_logical_failure(error_cut_parity(&code, &error)));
     }
@@ -368,12 +345,11 @@ mod tests {
         let code = SurfaceCode::new(5).unwrap();
         let graph = code.matching_graph(ErrorKind::X);
         for kind in q3de_matching::MatcherKind::ALL {
-            let mut decoder =
-                SurfaceDecoder::with_config(&graph, DecoderConfig::default().with_matcher(kind));
+            let mut decoder = DecoderContext::new(DecoderConfig::default().with_matcher(kind));
             for &q in code.data_qubits() {
                 let error: PauliString = [(q, Pauli::X)].into_iter().collect();
                 let history = static_history(&code, &error, 3);
-                let outcome = decoder.decode(&history, &WeightModel::uniform(1e-3));
+                let outcome = decoder.decode(&graph, &history, &WeightModel::uniform(1e-3));
                 assert!(
                     !outcome.is_logical_failure(error_cut_parity(&code, &error)),
                     "{kind:?}: single X on {q} was not corrected"
@@ -400,10 +376,12 @@ mod tests {
         let history = static_history(&code, &error, 3);
         let parity = error_cut_parity(&code, &error);
         for kind in q3de_matching::MatcherKind::ALL {
-            let mut decoder =
-                SurfaceDecoder::with_config(&graph, DecoderConfig::default().with_matcher(kind));
-            let aware =
-                decoder.decode(&history, &WeightModel::anomaly_aware(1e-3, vec![region], 0));
+            let mut decoder = DecoderContext::new(DecoderConfig::default().with_matcher(kind));
+            let aware = decoder.decode(
+                &graph,
+                &history,
+                &WeightModel::anomaly_aware(1e-3, vec![region], 0),
+            );
             assert!(
                 !aware.is_logical_failure(parity),
                 "{kind:?}: anomaly-aware decoding should succeed"
@@ -416,9 +394,9 @@ mod tests {
     fn mismatched_history_is_rejected() {
         let code = SurfaceCode::new(3).unwrap();
         let graph = code.matching_graph(ErrorKind::X);
-        let mut decoder = SurfaceDecoder::new(&graph);
+        let mut decoder = DecoderContext::new(DecoderConfig::default());
         let mut h = SyndromeHistory::new(graph.num_nodes() + 1);
         h.push_layer(&vec![false; graph.num_nodes() + 1]);
-        let _ = decoder.decode(&h, &WeightModel::uniform(1e-3));
+        let _ = decoder.decode(&graph, &h, &WeightModel::uniform(1e-3));
     }
 }

@@ -21,7 +21,7 @@
 //! window with the edges inside the anomalous region re-weighted to
 //! `−log(p_ano / (1 − p_ano))` (≈ 0 for `p_ano = 0.5`), which recovers the
 //! `d − d_ano` effective distance of the paper's Case 3 analysis.
-//! [`ReExecutingDecoder`] packages the two-pass flow.
+//! [`DecoderContext::decode_with_rollback`] runs the two-pass flow.
 //!
 //! # Persistent decoder state
 //!
@@ -45,16 +45,16 @@
 //! decoding (pinned by the root `tests/decoder_reuse.rs`); debug builds
 //! additionally cross-check every cached edge weight against the active
 //! model so stale-cache bugs trip assertions instead of skewing results.
-//! [`SurfaceDecoder`] and [`ReExecutingDecoder`] own one context each;
-//! Monte-Carlo kernels that decode from `&self` closures share contexts
-//! through a [`ContextPool`] (one warm context per concurrently decoding
-//! worker).
+//! Long-lived callers (a logical qubit's pipeline, a service worker) own
+//! one context each; Monte-Carlo kernels that decode from `&self` closures
+//! share contexts through a [`ContextPool`] (one warm context per
+//! concurrently decoding worker).
 //!
 //! # Example
 //!
 //! ```
 //! use q3de_lattice::{ErrorKind, SurfaceCode};
-//! use q3de_decoder::{SurfaceDecoder, SyndromeHistory, WeightModel};
+//! use q3de_decoder::{DecoderConfig, DecoderContext, SyndromeHistory, WeightModel};
 //!
 //! let code = SurfaceCode::new(3)?;
 //! let graph = code.matching_graph(ErrorKind::X);
@@ -64,8 +64,8 @@
 //! for _ in 0..4 {
 //!     history.push_layer(&vec![false; graph.num_nodes()]);
 //! }
-//! let mut decoder = SurfaceDecoder::new(&graph);
-//! let outcome = decoder.decode(&history, &WeightModel::uniform(1e-3));
+//! let mut decoder = DecoderContext::new(DecoderConfig::default());
+//! let outcome = decoder.decode(&graph, &history, &WeightModel::uniform(1e-3));
 //! assert!(!outcome.correction_crosses_cut());
 //! # Ok::<(), q3de_lattice::LatticeError>(())
 //! ```
@@ -74,14 +74,12 @@
 
 mod context;
 mod decode;
-mod rollback;
 mod spacetime;
 mod syndrome;
 mod weights;
 
 pub use context::{graph_key, ContextPool, DecoderContext, GraphKey};
-pub use decode::{DecodeOutcome, DecoderConfig, MatchedPair, SurfaceDecoder};
-pub use rollback::{ReExecutingDecoder, ReExecutionOutcome};
+pub use decode::{DecodeOutcome, DecoderConfig, MatchedPair, ReExecutionOutcome};
 pub use spacetime::{BoundarySide, SpaceTimeCosts, SpaceTimeGraph};
 pub use syndrome::{DetectionEvent, SyndromeBatch, SyndromeHistory};
 pub use weights::WeightModel;

@@ -1,7 +1,7 @@
 //! Edge-weight models for the space-time decoding graph.
 
 use q3de_lattice::Coord;
-use q3de_noise::{AnomalousRegion, NoiseModel};
+use q3de_noise::AnomalousRegion;
 
 /// How the decoder weighs physical error mechanisms.
 ///
@@ -54,16 +54,6 @@ impl WeightModel {
         WeightModel::AnomalyAware {
             base_rate,
             regions,
-            window_start_cycle,
-        }
-    }
-
-    /// Builds an anomaly-aware model from a [`NoiseModel`] (taking over its
-    /// base rate and regions).
-    pub fn from_noise_model(noise: &NoiseModel, window_start_cycle: u64) -> Self {
-        WeightModel::AnomalyAware {
-            base_rate: noise.base_rate(),
-            regions: noise.anomalies().to_vec(),
             window_start_cycle,
         }
     }
@@ -174,20 +164,5 @@ mod tests {
         // monotonically decreasing in the rate
         assert!(WeightModel::weight_of_rate(1e-3) > WeightModel::weight_of_rate(1e-2));
         assert_eq!(WeightModel::weight_of_rate(0.5), 0.0);
-    }
-
-    #[test]
-    fn from_noise_model_copies_regions() {
-        let noise = q3de_noise::NoiseModel::uniform(1e-2).with_anomaly(AnomalousRegion::new(
-            Coord::new(2, 2),
-            2,
-            0,
-            50,
-            0.4,
-        ));
-        let m = WeightModel::from_noise_model(&noise, 0);
-        assert!(m.is_anomaly_aware());
-        assert_eq!(m.base_rate(), 1e-2);
-        assert_eq!(m.rate_at(Coord::new(3, 3), 10), 0.4);
     }
 }

@@ -15,7 +15,7 @@
 //!    instruction ([`lattice::deformation`], [`control`]),
 //! 3. **optimized error DEcoding** — the decoding pipeline is rolled back to
 //!    the estimated MBBE onset and re-executed with anomaly-aware edge
-//!    weights ([`decoder::ReExecutingDecoder`]).
+//!    weights ([`decoder::DecoderContext::decode_with_rollback`]).
 //!
 //! The substrate crates are re-exported as modules so a single dependency on
 //! `q3de` gives access to the whole stack:

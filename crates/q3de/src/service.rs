@@ -21,7 +21,7 @@
 //!   one-in-flight rule.
 //!
 //! The shard shares one [`ContextPool`]: workers check contexts out with
-//! *structure affinity* ([`ContextPool::checkout_for`]), so a window is
+//! *structure affinity* ([`ContextPool::checkout`]), so a window is
 //! decoded on a context whose cached space-time graph already matches its
 //! shape whenever one is warm — steady-state operation builds **zero**
 //! graphs, and [`TenantReport::graph_builds`] proves it per tenant.
@@ -264,6 +264,16 @@ pub enum SubmitError {
     },
     /// No tenant with this id is registered.
     UnknownTenant(TenantId),
+    /// The window's node count differs from the tenant's matching graph;
+    /// the window was never queued.
+    ShapeMismatch {
+        /// The tenant the window was submitted to.
+        tenant: TenantId,
+        /// The node count of the tenant's matching graph.
+        expected: usize,
+        /// The node count of the submitted window.
+        got: usize,
+    },
     /// The server is draining and accepts no new work.
     ShuttingDown,
 }
@@ -275,6 +285,14 @@ impl fmt::Display for SubmitError {
                 write!(f, "{tenant} queue full at depth {depth}; window shed")
             }
             SubmitError::UnknownTenant(tenant) => write!(f, "{tenant} is not registered"),
+            SubmitError::ShapeMismatch {
+                tenant,
+                expected,
+                got,
+            } => write!(
+                f,
+                "window has {got} nodes but {tenant}'s graph has {expected}; window rejected"
+            ),
             SubmitError::ShuttingDown => write!(f, "server is shutting down"),
         }
     }
@@ -544,7 +562,9 @@ impl DecodeServer {
     /// Submits a window for decoding.  Accepted windows decode in FIFO
     /// order per tenant; a window arriving at a full queue is shed
     /// ([`SubmitError::Backpressure`]) and counted against the tenant —
-    /// queue memory never grows past the registered capacity.
+    /// queue memory never grows past the registered capacity.  A window
+    /// whose node count differs from the tenant's graph is rejected with
+    /// [`SubmitError::ShapeMismatch`] before it is queued.
     pub fn submit(
         &self,
         tenant: TenantId,
@@ -559,6 +579,14 @@ impl DecodeServer {
             .tenants
             .get_mut(tenant.0)
             .ok_or(SubmitError::UnknownTenant(tenant))?;
+        let (expected, got) = (slot.graph.num_nodes(), request.history.num_nodes());
+        if expected != got {
+            return Err(SubmitError::ShapeMismatch {
+                tenant,
+                expected,
+                got,
+            });
+        }
         let depth = slot.queue.len();
         if depth >= slot.capacity {
             slot.shed += 1;
@@ -727,7 +755,7 @@ fn worker_loop(shared: &Shared) {
         // Decode outside the scheduler lock on a structure-affine warm
         // context; other workers keep scheduling meanwhile.
         let key = graph_key(&graph, job.request.history.num_layers());
-        let mut context = shared.contexts.checkout_for(key);
+        let mut context = shared.contexts.checkout(key);
         let builds_before = context.graph_builds();
         let regions = (!job.request.regions.is_empty()).then_some(job.request.regions.as_slice());
         let outcome = context.decode_with_rollback(

@@ -1,6 +1,7 @@
 //! Service-level tests of the decode shard: cross-tenant fairness under a
-//! backlogged (cosmic-ray-struck) neighbour, and bounded queues under
-//! overload.
+//! backlogged (cosmic-ray-struck) neighbour, bounded queues under
+//! overload, and submit-time rejection of windows shaped for another
+//! tenant.
 //!
 //! The fairness claim is pinned two ways: a *deterministic* one — with a
 //! single worker and two backlogged tenants the round-robin scheduler must
@@ -193,4 +194,37 @@ fn shared_shard_builds_each_structure_once() {
         "one worker serving two structures must build exactly two graphs"
     );
     assert!(report.tenants.iter().all(|t| t.completed == 12));
+}
+
+#[test]
+fn malformed_window_is_rejected_at_submit_and_the_shard_keeps_serving() {
+    // One worker shared by a d = 3 and a d = 5 tenant.  A d = 5 window
+    // submitted to the d = 3 tenant must be refused before it is queued:
+    // decoding it would panic the only worker with the tenant marked busy
+    // and its context checked out, wedging every other tenant.
+    let small = quiet_source(0x11);
+    let large = WindowSource::new(MemoryExperimentConfig::new(5, BASE_RATE), 0.0, 0x12).unwrap();
+    let server = DecodeServer::new(ServiceConfig::new(1));
+    let small_tenant = server.register(small.graph().clone(), BASE_RATE, 8);
+    let large_tenant = server.register(large.graph().clone(), BASE_RATE, 8);
+    let error = server
+        .submit(small_tenant, large.window::<ChaCha8Rng>(0))
+        .expect_err("a window shaped for another graph must be rejected");
+    assert_eq!(
+        error,
+        SubmitError::ShapeMismatch {
+            tenant: small_tenant,
+            expected: small.graph().num_nodes(),
+            got: large.graph().num_nodes(),
+        }
+    );
+    assert_eq!(server.queue_depth(small_tenant), 0);
+    let ticket = server
+        .submit(large_tenant, large.window::<ChaCha8Rng>(1))
+        .expect("a well-shaped window is accepted");
+    server.wait(ticket);
+    let report = server.finish();
+    assert_eq!(report.tenants[large_tenant.index()].completed, 1);
+    let bad = &report.tenants[small_tenant.index()];
+    assert_eq!((bad.accepted, bad.shed, bad.completed), (0, 0, 0));
 }

@@ -1,6 +1,8 @@
 //! The d-cycle idling (memory) experiment.
 
-use q3de_decoder::{ContextPool, DecoderConfig, MatcherKind, SyndromeHistory, WeightModel};
+use q3de_decoder::{
+    graph_key, ContextPool, DecoderConfig, MatcherKind, SyndromeHistory, WeightModel,
+};
 use q3de_lattice::{Coord, ErrorKind, LatticeError, MatchingGraph, SurfaceCode};
 use q3de_noise::{AnomalousRegion, NoiseModel};
 use rand::{Rng, SeedableRng};
@@ -232,20 +234,40 @@ impl MemoryExperiment {
 
     /// The noise model a shot with the given strategy experiences.
     pub fn noise_model(&self, strategy: DecodingStrategy) -> NoiseModel {
+        self.noise_model_with(self.region.as_slice(), strategy)
+    }
+
+    /// The weight model the decoder uses under the given strategy.
+    pub fn weight_model(&self, strategy: DecodingStrategy) -> WeightModel {
+        self.weight_model_with(self.region.as_slice(), strategy)
+    }
+
+    /// The noise model of a shot with explicit anomalous `regions`:
+    /// `MbbeFree` ignores them, the other strategies inject them.
+    fn noise_model_with(
+        &self,
+        regions: &[AnomalousRegion],
+        strategy: DecodingStrategy,
+    ) -> NoiseModel {
         let mut model = NoiseModel::uniform(self.config.physical_error_rate);
         if strategy != DecodingStrategy::MbbeFree {
-            if let Some(region) = self.region {
+            for &region in regions {
                 model.add_anomaly(region);
             }
         }
         model
     }
 
-    /// The weight model the decoder uses under the given strategy.
-    pub fn weight_model(&self, strategy: DecodingStrategy) -> WeightModel {
-        match (strategy, self.region) {
-            (DecodingStrategy::AnomalyAware, Some(region)) => {
-                WeightModel::anomaly_aware(self.config.physical_error_rate, vec![region], 0)
+    /// The weight model of a shot with explicit anomalous `regions`: only
+    /// `AnomalyAware` with at least one region re-weights the decoder.
+    fn weight_model_with(
+        &self,
+        regions: &[AnomalousRegion],
+        strategy: DecodingStrategy,
+    ) -> WeightModel {
+        match strategy {
+            DecodingStrategy::AnomalyAware if !regions.is_empty() => {
+                WeightModel::anomaly_aware(self.config.physical_error_rate, regions.to_vec(), 0)
             }
             _ => WeightModel::uniform(self.config.physical_error_rate),
         }
@@ -340,20 +362,14 @@ impl MemoryExperiment {
         (history, error_cut_parity)
     }
 
-    /// Runs a single memory shot.
+    /// Runs a single memory shot: [`MemoryExperiment::run_shot_with`] on
+    /// the configured region.
     pub fn run_shot<R: Rng + ?Sized>(
         &self,
         strategy: DecodingStrategy,
         rng: &mut R,
     ) -> ShotOutcome {
-        let (history, error_cut_parity) = self.sample_history(strategy, rng);
-        let outcome = self
-            .decoders
-            .with(|context| context.decode(&self.graph, &history, &self.weight_model(strategy)));
-        ShotOutcome {
-            logical_failure: outcome.is_logical_failure(error_cut_parity),
-            num_detection_events: outcome.num_events(),
-        }
+        self.run_shot_with(self.region.as_slice(), strategy, rng)
     }
 
     /// Runs a single memory shot with explicit anomalous regions instead of
@@ -372,22 +388,13 @@ impl MemoryExperiment {
         strategy: DecodingStrategy,
         rng: &mut R,
     ) -> ShotOutcome {
-        let mut noise = NoiseModel::uniform(self.config.physical_error_rate);
-        if strategy != DecodingStrategy::MbbeFree {
-            for &region in regions {
-                noise.add_anomaly(region);
-            }
-        }
-        let weights = match strategy {
-            DecodingStrategy::AnomalyAware if !regions.is_empty() => {
-                WeightModel::anomaly_aware(self.config.physical_error_rate, regions.to_vec(), 0)
-            }
-            _ => WeightModel::uniform(self.config.physical_error_rate),
-        };
+        let noise = self.noise_model_with(regions, strategy);
+        let weights = self.weight_model_with(regions, strategy);
         let (history, error_cut_parity) = self.sample_history_with(&noise, rng);
-        let outcome = self
-            .decoders
-            .with(|context| context.decode(&self.graph, &history, &weights));
+        let key = graph_key(&self.graph, history.num_layers());
+        let outcome = self.decoders.with(key, |context| {
+            context.decode(&self.graph, &history, &weights)
+        });
         ShotOutcome {
             logical_failure: outcome.is_logical_failure(error_cut_parity),
             num_detection_events: outcome.num_events(),

@@ -42,7 +42,7 @@
 
 use crate::memory::{DecodingStrategy, EstimateResult, MemoryExperiment};
 use crate::shot_stream_seed;
-use q3de_decoder::{ContextPool, DetectionEvent, SyndromeBatch, WeightModel};
+use q3de_decoder::{graph_key, ContextPool, DetectionEvent, SyndromeBatch, WeightModel};
 use q3de_noise::NoiseModel;
 use rand::{PackedBernoulli, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -296,9 +296,11 @@ where
                 });
             }
         }
-        let outcome = self.decoders.with(|context| {
+        let graph = self.experiment.graph();
+        let key = graph_key(graph, batch.num_layers());
+        let outcome = self.decoders.with(key, |context| {
             context.decode_events(
-                self.experiment.graph(),
+                graph,
                 batch.num_layers(),
                 std::mem::take(events),
                 &self.weights,
@@ -379,9 +381,11 @@ where
         let lane = (stream % 64) as usize;
         let history = batch.lane_history(lane);
         let error_cut_parity = (cut >> lane) & 1 == 1;
-        let outcome = self
-            .decoders
-            .with(|context| context.decode(self.experiment.graph(), &history, &self.weights));
+        let graph = self.experiment.graph();
+        let key = graph_key(graph, history.num_layers());
+        let outcome = self.decoders.with(key, |context| {
+            context.decode(graph, &history, &self.weights)
+        });
         outcome.is_logical_failure(error_cut_parity)
     }
 }

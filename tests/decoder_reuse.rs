@@ -11,7 +11,7 @@
 //! additionally run the decoder crate's stale-weight assertions, so this
 //! test doubles as the stale-cache tripwire in the CI debug matrix.
 
-use q3de::decoder::{DecoderConfig, DecoderContext, MatcherKind, ReExecutingDecoder, WeightModel};
+use q3de::decoder::{DecoderConfig, DecoderContext, MatcherKind, WeightModel};
 use q3de::lattice::{Coord, ErrorKind};
 use q3de::noise::AnomalousRegion;
 use q3de::sim::{AnomalyInjection, DecodingStrategy, MemoryExperiment, MemoryExperimentConfig};
@@ -67,7 +67,7 @@ fn reused_context_is_bit_identical_to_fresh_decoding() {
     }
 }
 
-/// The rollback hot path: one long-lived `ReExecutingDecoder` per backend
+/// The rollback hot path: one long-lived `DecoderContext` per backend
 /// replaying a sequence of windows whose detected regions appear, overlap,
 /// swap and vanish — against a fresh decoder per call.
 #[test]
@@ -92,7 +92,8 @@ fn reused_rollback_matches_fresh_across_overlapping_strike_sequences() {
                 (Some(vec![strike_a, late_b]), 2),
                 (Some(vec![strike_a, strike_b]), 0),
             ];
-            let mut reused = ReExecutingDecoder::with_matcher(&graph, p, kind);
+            let decoder_config = DecoderConfig::default().with_matcher(kind);
+            let mut reused = DecoderContext::new(decoder_config);
             for round in 0..3u64 {
                 for (step, (regions, window_start)) in sequence.iter().enumerate() {
                     let mut rng = ChaCha8Rng::seed_from_u64(
@@ -101,8 +102,11 @@ fn reused_rollback_matches_fresh_across_overlapping_strike_sequences() {
                     let (history, parity) =
                         experiment.sample_history(DecodingStrategy::MbbeFree, &mut rng);
                     let regions = regions.as_deref();
-                    let reused_out = reused.decode(&history, regions, *window_start);
-                    let fresh_out = ReExecutingDecoder::with_matcher(&graph, p, kind).decode(
+                    let reused_out =
+                        reused.decode_with_rollback(&graph, p, &history, regions, *window_start);
+                    let fresh_out = DecoderContext::new(decoder_config).decode_with_rollback(
+                        &graph,
+                        p,
                         &history,
                         regions,
                         *window_start,
@@ -122,9 +126,9 @@ fn reused_rollback_matches_fresh_across_overlapping_strike_sequences() {
                 }
             }
             assert!(
-                reused.context().graph_builds() <= 1,
+                reused.graph_builds() <= 1,
                 "{kind:?} d={d}: rollback sequence rebuilt the graph {} times",
-                reused.context().graph_builds()
+                reused.graph_builds()
             );
         }
     }

@@ -25,7 +25,7 @@
 //! regime where dual ties force blossom formation.
 
 use q3de::decoder::{
-    DecodeOutcome, DecoderConfig, MatcherKind, SpaceTimeGraph, SurfaceDecoder, SyndromeHistory,
+    DecodeOutcome, DecoderConfig, DecoderContext, MatcherKind, SpaceTimeGraph, SyndromeHistory,
     WeightModel,
 };
 use q3de::lattice::{ErrorKind, MatchingGraph};
@@ -109,17 +109,15 @@ fn differential(config: MemoryExperimentConfig, strategy: DecodingStrategy, salt
     let experiment = MemoryExperiment::new(config).expect("valid distance");
     let graph = experiment.code().matching_graph(ErrorKind::X);
     let model = experiment.weight_model(strategy);
-    let mut tree = SurfaceDecoder::with_config(&graph, DecoderConfig::default());
-    let mut greedy = SurfaceDecoder::with_config(
-        &graph,
-        DecoderConfig::default().with_matcher(MatcherKind::Greedy),
-    );
+    let mut tree = DecoderContext::new(DecoderConfig::default());
+    let mut greedy =
+        DecoderContext::new(DecoderConfig::default().with_matcher(MatcherKind::Greedy));
     let mut oracle = ExactBackend::default();
     let d = config.distance;
     let mut pinned = 0usize;
     for stream in 0..STREAMS {
         let (history, _) = experiment.sample_history(strategy, &mut stream_rng(salt, d, stream));
-        let tree_out = tree.decode(&history, &model);
+        let tree_out = tree.decode(&graph, &history, &model);
         assert_valid_matching(&tree_out, "tree");
         let tw = tree_out.total_weight;
         match oracle_weight(&mut oracle, &graph, &history, &model, &tree_out) {
@@ -135,7 +133,7 @@ fn differential(config: MemoryExperimentConfig, strategy: DecodingStrategy, salt
             None => {
                 // Too large for the oracle: greedy's perfect matching still
                 // bounds the optimum from above.
-                let gw = greedy.decode(&history, &model).total_weight;
+                let gw = greedy.decode(&graph, &history, &model).total_weight;
                 assert!(
                     tw <= gw + 1e-6 * (1.0 + gw.abs()),
                     "d={d} stream {stream}: tree weight {tw} heavier than greedy's \
@@ -159,8 +157,7 @@ fn assert_union_find_within_twice_tree(
     let experiment = MemoryExperiment::new(config).expect("valid distance");
     let graph = experiment.code().matching_graph(ErrorKind::X);
     let model = experiment.weight_model(strategy);
-    let decoder =
-        |kind| SurfaceDecoder::with_config(&graph, DecoderConfig::default().with_matcher(kind));
+    let decoder = |kind| DecoderContext::new(DecoderConfig::default().with_matcher(kind));
     let mut tree = decoder(MatcherKind::Tree);
     let mut union_find = decoder(MatcherKind::UnionFind);
     let d = config.distance;
@@ -168,9 +165,12 @@ fn assert_union_find_within_twice_tree(
     for stream in 0..LER_STREAMS {
         let (history, parity) =
             experiment.sample_history(strategy, &mut stream_rng(salt, d, stream));
-        let uf_out = union_find.decode(&history, &model);
+        let uf_out = union_find.decode(&graph, &history, &model);
         assert_valid_matching(&uf_out, "union-find");
-        tree_failures += usize::from(tree.decode(&history, &model).is_logical_failure(parity));
+        tree_failures += usize::from(
+            tree.decode(&graph, &history, &model)
+                .is_logical_failure(parity),
+        );
         uf_failures += usize::from(uf_out.is_logical_failure(parity));
     }
     assert!(

@@ -5,7 +5,7 @@
 //! matcher must return a *perfect* matching — each defect either paired with
 //! exactly one other defect (symmetrically) or matched to the boundary.
 
-use q3de::decoder::{DecoderConfig, MatcherKind, SurfaceDecoder, SyndromeHistory, WeightModel};
+use q3de::decoder::{DecoderConfig, DecoderContext, MatcherKind, SyndromeHistory, WeightModel};
 use q3de::lattice::{Coord, ErrorKind, Pauli, PauliString, StabilizerKind, SurfaceCode};
 use q3de::matching::{
     AltTreeBackend, DecoderBackend, ExactBackend, ExactMatcher, GreedyMatcher, MatchTarget,
@@ -211,10 +211,9 @@ fn decode_fails(
     kind: MatcherKind,
 ) -> bool {
     let graph = code.matching_graph(ErrorKind::X);
-    let mut decoder =
-        SurfaceDecoder::with_config(&graph, DecoderConfig::default().with_matcher(kind));
+    let mut decoder = DecoderContext::new(DecoderConfig::default().with_matcher(kind));
     let history = static_history(code, error, 3);
-    let outcome = decoder.decode(&history, model);
+    let outcome = decoder.decode(&graph, &history, model);
     outcome.is_logical_failure(error_cut_parity(code, error))
 }
 

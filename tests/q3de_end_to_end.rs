@@ -5,7 +5,7 @@
 //! syndrome stream.
 
 use q3de::control::Instruction;
-use q3de::decoder::{MatcherKind, ReExecutingDecoder, SyndromeHistory};
+use q3de::decoder::{DecoderConfig, DecoderContext, MatcherKind, SyndromeHistory};
 use q3de::lattice::{Coord, ErrorKind, Pauli, PauliString, StabilizerKind, SurfaceCode};
 use q3de::noise::{AnomalousRegion, CosmicRayProcess, NoiseModel, PhysicalParams};
 use q3de::pipeline::{PipelineConfig, Q3dePipeline};
@@ -216,8 +216,9 @@ fn back_to_back_strikes_are_redecoded_together() {
 
     let regions = [region_a, region_b];
     for kind in MatcherKind::ALL {
-        let mut decoder = ReExecutingDecoder::with_matcher(&graph, 1e-3, kind);
-        let outcome = decoder.decode(&history, Some(&regions), window_start);
+        let mut decoder = DecoderContext::new(DecoderConfig::default().with_matcher(kind));
+        let outcome =
+            decoder.decode_with_rollback(&graph, 1e-3, &history, Some(&regions), window_start);
         assert!(outcome.was_rolled_back(), "{kind:?}");
         assert!(
             outcome.first_pass.is_logical_failure(parity),
