@@ -25,16 +25,21 @@ use q3de_bench::{format_row, Cli};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// The pure-decode hot-path kernel: a d = 11 decoder with the given matching
+/// The pure-decode hot-path kernel: a distance-`d` decoder with the given matching
 /// backend replaying pre-sampled burst windows through the two-pass rollback
 /// flow (blind uniform pass + anomaly-re-weighted re-execution).  Sampling
 /// happens once up front and does not depend on the matcher, so every
 /// backend's point decodes the *same* windows and the measured shots/sec is
 /// pure decode throughput — which also makes same-process backend ratios
 /// (the tree/uf gate below) machine-speed independent.
-fn decode_window_point(base_seed: u64, matcher: MatcherKind, id: &'static str) -> SweepPoint {
+fn decode_window_point(
+    base_seed: u64,
+    d: usize,
+    matcher: MatcherKind,
+    id: &'static str,
+) -> SweepPoint {
     const WINDOWS: u64 = 16;
-    let config = MemoryExperimentConfig::new(11, 5e-3)
+    let config = MemoryExperimentConfig::new(d, 5e-3)
         .with_matcher(matcher)
         .with_anomaly(AnomalyInjection::centered(4, 0.5));
     let experiment = MemoryExperiment::new(config).expect("valid config");
@@ -241,6 +246,7 @@ fn main() {
         .expect("valid chip"),
         decode_window_point(
             args.stream_seed(4),
+            11,
             MatcherKind::UnionFind,
             "perf/decode_window/d11/uf/rollback",
         ),
@@ -249,8 +255,22 @@ fn main() {
         // fast approximate baseline
         decode_window_point(
             args.stream_seed(4),
+            11,
             MatcherKind::Tree,
             "perf/decode_window/d11/tree/rollback",
+        ),
+        // the same pair at d = 15, reported but not gated (no baseline entry)
+        decode_window_point(
+            args.stream_seed(4),
+            15,
+            MatcherKind::UnionFind,
+            "perf/decode_window/d15/uf/rollback",
+        ),
+        decode_window_point(
+            args.stream_seed(4),
+            15,
+            MatcherKind::Tree,
+            "perf/decode_window/d15/tree/rollback",
         ),
     ];
 
@@ -359,8 +379,8 @@ fn main() {
     //
     // * packed/scalar d3: the headline number of the 64-shot batch spine.
     // * tree/uf d11: the exact tree matcher against the union-find baseline
-    //   on identical pre-sampled burst windows.  Measured 0.45-0.56 over
-    //   five runs on a 2-vCPU host; the floor sits 2x or more below that
+    //   on identical pre-sampled burst windows.  Measured 0.53-0.61 over
+    //   six runs on a 2-vCPU host; the floor sits 2x or more below that
     //   for machine variance.
     const RATIO_GATES: [(&str, &str, &str, f64); 2] = [
         (
@@ -388,6 +408,14 @@ fn main() {
             "ok"
         };
         eprintln!("  {label} ratio: {ratio:.2}x (floor {floor:.1}x) {verdict}");
+    }
+    // The tree/uf ratio at d = 15 is tracked next to d = 11, not gated.
+    if let (Some(tree), Some(uf)) = (
+        report.point("perf/decode_window/d15/tree/rollback"),
+        report.point("perf/decode_window/d15/uf/rollback"),
+    ) {
+        let ratio = tree.shots_per_sec() / uf.shots_per_sec();
+        eprintln!("  tree/uf d15 ratio: {ratio:.2}x (report only)");
     }
     if failed {
         eprintln!(

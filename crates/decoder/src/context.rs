@@ -178,7 +178,22 @@ impl DecoderContext {
         if events.is_empty() {
             return DecodeOutcome::default();
         }
-        let num_layers = num_layers.max(1);
+        self.install(graph, num_layers, model);
+        let spacetime = &self
+            .cache
+            .as_ref()
+            .expect("cache installed above")
+            .spacetime;
+        self.defects.clear();
+        self.defects
+            .extend(events.iter().map(|&e| spacetime.vertex_of(e)));
+        self.match_defects(events)
+    }
+
+    /// Makes the cached space-time graph the one of `num_layers` layers
+    /// over `graph` weighted by `model`: reused as is, re-weighted in place,
+    /// or built (see the invalidation rules above).
+    fn install(&mut self, graph: &MatchingGraph, num_layers: usize, model: &WeightModel) {
         let key: GraphKey = graph_key(graph, num_layers);
         match &mut self.cache {
             Some(cache) if cache.key == key => {
@@ -191,12 +206,17 @@ impl DecoderContext {
             _ => {
                 self.cache = Some(GraphCache {
                     key,
-                    spacetime: SpaceTimeGraph::build(graph, num_layers, model),
+                    spacetime: SpaceTimeGraph::build(graph, num_layers.max(1), model),
                     model: model.clone(),
                 });
                 self.graph_builds += 1;
             }
         }
+    }
+
+    /// Matches `self.defects`, the cached graph's vertices of `events`, and
+    /// maps the matching back onto the events.
+    fn match_defects(&mut self, events: Vec<DetectionEvent>) -> DecodeOutcome {
         let Self {
             backend,
             cache,
@@ -204,9 +224,6 @@ impl DecoderContext {
             ..
         } = self;
         let spacetime = &cache.as_ref().expect("cache installed above").spacetime;
-        defects.clear();
-        defects.extend(events.iter().map(|&e| spacetime.vertex_of(e)));
-
         let matching = backend.decode_defects(spacetime.graph(), defects);
         debug_assert!(
             matching.is_perfect(defects.len()),
@@ -263,7 +280,12 @@ impl DecoderContext {
     /// the decoding semantics.  Both passes run through the configured
     /// backend and share the cached graph: the blind pass reuses it
     /// untouched and the re-executed pass only re-weights the edges inside
-    /// the detected regions.
+    /// the detected regions.  The window's detection events are extracted
+    /// once, and the re-executed pass matches the blind pass's defect list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the history's node count does not match the layer graph.
     pub fn decode_with_rollback(
         &mut self,
         graph: &MatchingGraph,
@@ -277,7 +299,14 @@ impl DecoderContext {
             Some(regions) if !regions.is_empty() => {
                 let model =
                     WeightModel::anomaly_aware(base_rate, regions.to_vec(), window_start_cycle);
-                Some(self.decode(graph, history, &model))
+                if first_pass.events.is_empty() {
+                    Some(DecodeOutcome::default())
+                } else {
+                    // Same structure, so `self.defects` still maps the
+                    // blind pass's events; only the weights change.
+                    self.install(graph, history.num_layers(), &model);
+                    Some(self.match_defects(first_pass.events.clone()))
+                }
             }
             _ => None,
         };
@@ -525,6 +554,9 @@ mod tests {
             &WeightModel::anomaly_aware(1e-3, vec![region], START),
         );
         assert_ne!(aware, blind, "the region must change the decode");
+        let second = outcome.second_pass.as_ref().expect("rolled back");
+        // The second pass decodes the first pass's events, extracted once.
+        assert_eq!(second.events, outcome.first_pass.events);
         assert_eq!(outcome.first_pass, blind);
         assert_eq!(outcome.second_pass, Some(aware));
         // no detection → no second pass, still cached

@@ -652,11 +652,44 @@ mod tests {
         let _ = st.vertex_of(DetectionEvent { layer: 2, node: 0 });
     }
 
+    /// Float Dijkstra over `graph` from `source` with per-edge `cost`:
+    /// `(cost, edges)` of a cheapest path to every vertex, and to the
+    /// boundary.
+    fn float_paths(
+        graph: &SyndromeGraph,
+        source: usize,
+        cost: &dyn Fn(SparseEdgeId) -> f64,
+    ) -> (Vec<(f64, usize)>, (f64, usize)) {
+        let n = graph.num_vertices();
+        let mut best = vec![(f64::INFINITY, 0usize); n];
+        let mut done = vec![false; n];
+        let mut boundary = (f64::INFINITY, 0usize);
+        best[source] = (0.0, 0);
+        while let Some(u) = (0..n)
+            .filter(|&v| !done[v] && best[v].0.is_finite())
+            .min_by(|&a, &b| best[a].0.total_cmp(&best[b].0))
+        {
+            done[u] = true;
+            let (du, hops) = best[u];
+            for id in graph.incident(u) {
+                let next = (du + cost(id), hops + 1);
+                match graph.edge(id).other(u) {
+                    Some(v) if next.0 < best[v].0 => best[v] = next,
+                    None if next.0 < boundary.0 => boundary = next,
+                    _ => {}
+                }
+            }
+        }
+        (best, boundary)
+    }
+
     #[test]
     fn sparse_graph_weights_match_the_cost_oracle() {
-        // Shortest paths on the sparse graph must agree with the dense
-        // SpaceTimeCosts oracle, uniform and anomaly-aware alike.
-        use q3de_matching::{DecoderBackend, ExactBackend};
+        // Shortest paths over the sparse graph's raw weights must agree
+        // with the dense SpaceTimeCosts oracle, uniform and anomaly-aware
+        // alike; the exact backend, which decodes the quantized weights,
+        // must stay within the quantizer's rounding bound of them.
+        use q3de_matching::{DecoderBackend, ExactBackend, WEIGHT_UNIT};
         let g = graph(5);
         let layers = 3;
         let region = AnomalousRegion::new(Coord::new(2, 0), 5, 0, 10, 0.5);
@@ -671,17 +704,42 @@ mod tests {
                 layer: 2,
                 node: g.num_nodes() - 1,
             };
-            let defects = [st.vertex_of(a), st.vertex_of(b)];
-            let m = ExactBackend::default().decode_defects(st.graph(), &defects);
-            let backend_cost = m.total_cost();
-            // the oracle's optimum for the same two events
+            let (va, vb) = (st.vertex_of(a), st.vertex_of(b));
+            let sparse = st.graph();
+            let raw = |id: SparseEdgeId| sparse.edge(id).weight;
+            let (from_a, boundary_a) = float_paths(sparse, va, &raw);
+            let (_, boundary_b) = float_paths(sparse, vb, &raw);
             let pair = oracle.cost_between(a, b);
             let (al, ah) = oracle.boundary_costs(a);
             let (bl, bh) = oracle.boundary_costs(b);
-            let optimum = pair.min(al.min(ah) + bl.min(bh));
+            for (got, want) in [
+                (from_a[vb].0, pair),
+                (boundary_a.0, al.min(ah)),
+                (boundary_b.0, bl.min(bh)),
+            ] {
+                assert!((got - want).abs() < 1e-9, "sparse {got} vs oracle {want}");
+            }
+
+            // The optimum and its edge count on raw and on quantized
+            // weights: each edge's rounding moves it by at most one unit.
+            let optimum = |cost: &dyn Fn(SparseEdgeId) -> f64| {
+                let (from_a, boundary_a) = float_paths(sparse, va, cost);
+                let (_, boundary_b) = float_paths(sparse, vb, cost);
+                let split = (boundary_a.0 + boundary_b.0, boundary_a.1 + boundary_b.1);
+                if from_a[vb].0 <= split.0 {
+                    from_a[vb]
+                } else {
+                    split
+                }
+            };
+            let (raw_cost, raw_edges) = optimum(&raw);
+            let (_, quantized_edges) = optimum(&|id| sparse.quantized_weight(id));
+            let m = ExactBackend::default().decode_defects(sparse, &[va, vb]);
+            let bound = (raw_edges + quantized_edges) as f64 * WEIGHT_UNIT;
             assert!(
-                (backend_cost - optimum).abs() < 1e-9,
-                "backend {backend_cost} vs oracle {optimum}"
+                (m.total_cost() - raw_cost).abs() <= bound,
+                "backend {} vs raw optimum {raw_cost} (bound {bound})",
+                m.total_cost()
             );
         }
     }

@@ -8,12 +8,23 @@
 //!
 //! The machinery:
 //!
+//! * **Integer duals and times.**  Every cost is a sum of the graph's
+//!   integer edge units (see [`crate::WEIGHT_UNIT`]), and every dual, event
+//!   time, candidate cost and claim is an integer on that scale.  Edges
+//!   cost an even number of units, so all growing duals share the parity
+//!   of the current time and an edge between two growing regions goes
+//!   tight after exactly half its (even) slack: no event time is ever
+//!   rounded and no comparison needs a tolerance.  Reported costs are
+//!   `units · 2^-21`, exact in `f64`.
 //! * **Regions as duals.**  Each defect `i` owns a Dijkstra exploration of
 //!   the graph (a monotonically growing set of `(vertex, distance)` claims)
 //!   and a dual variable `y_i`.  Exploration is driven lazily so the
 //!   invariant *everything within radius `y_i` is settled* always holds;
 //!   exploration state is never undone, even when duals later shrink —
-//!   claims are facts about the graph, not about the matching.
+//!   claims are facts about the graph, not about the matching.  Each
+//!   defect's dual lives in one record with the time it was last
+//!   materialised and its cached growth rate, which is rewritten at every
+//!   state change that moves it.
 //! * **A global, time-bucketed event queue.**  It orders the next-tight
 //!   events: *settle* (a region's Dijkstra frontier becomes reachable,
 //!   possibly discovering new candidate edges), *edge-tight* (a discovered
@@ -21,18 +32,19 @@
 //!   cheapest boundary attachment becomes tight), and *shrink-to-zero* (an
 //!   inner blossom's dual reaches zero and the blossom must expand).  One
 //!   call sees few distinct event times (on d = 11 windows, about 4 per
-//!   call, with a few hundred events popped at each), so events with
-//!   exactly equal times share a bucket, and only the short list of live
-//!   buckets is kept sorted.  Pops go by time, then by kind, then from the
-//!   end of the kind's list: a newly scheduled entry is pushed on the end,
-//!   and a re-key fills the hole it leaves with the list's last entry.
-//!   This mostly last-scheduled-first, depth-first order within one time
-//!   makes fewer grows than an id order.  Each source — a region, a
-//!   candidate, a blossom — holds at most one live entry: re-scheduling a
-//!   source moves its entry, so the queue never fills with superseded
-//!   copies.  An entry can still go stale when a state change *delays* its
-//!   event without re-scheduling it, so every pop re-costs the event
-//!   against the current duals before acting on it.
+//!   call, with a few hundred events popped at each), so events at equal
+//!   times share a bucket — integer times make that equality exact — and
+//!   only the short list of live buckets, with their times inline, is kept
+//!   sorted.  Pops go by time, then by kind, then from the end of the
+//!   kind's list: a newly scheduled entry is pushed on the end, and a
+//!   re-key fills the hole it leaves with the list's last entry.  This
+//!   mostly last-scheduled-first, depth-first order within one time makes
+//!   fewer grows than an id order.  Each source — a region, a candidate, a
+//!   blossom — holds at most one live entry: re-scheduling a source moves
+//!   its entry, so the queue never fills with superseded copies.  An entry
+//!   can still go stale when a state change *delays* its event without
+//!   re-scheduling it, so every pop re-costs the event against the current
+//!   duals before acting on it.
 //! * **Wake only on a rate rise.**  An event time moves earlier only when
 //!   some endpoint's growth rate rises, so a structural change re-schedules
 //!   the defects of exactly the nodes whose rate rose: the inner children
@@ -40,9 +52,10 @@
 //!   leave the inner state (−1 → +1 or 0), the matched partner a tree grabs
 //!   (0 → +1), and the inner members of a dismantled tree (−1 → 0).  The
 //!   grabbed node itself (0 → −1) and the outer members of a dismantled
-//!   tree (+1 → 0) slow down; their events are only late, and the pop-time
-//!   re-costing drops or re-keys them.  Children that keep their rate keep
-//!   their scheduled (or parked) events untouched.
+//!   tree (+1 → 0) slow down; only their cached rates change, their events
+//!   are only late, and the pop-time re-costing drops or re-keys them.
+//!   Children that keep their rate keep their scheduled (or parked) events
+//!   and their dual records untouched.
 //! * **One-lookup candidate dedup.**  Every meet is offered by the region
 //!   being settled, so a settle first stamps that region's candidates into
 //!   a table indexed by their other endpoint; finding the existing
@@ -67,8 +80,8 @@
 //!   retry doubling, no big-M.
 //!
 //! Zero-weight pre-pairing (a Q3DE anomaly at `p = 0.5`): defects in one
-//! zero-weight component pair for free and only the residual parity enters
-//! the tree machinery.
+//! component of free (0-unit) edges pair for free and only the residual
+//! parity enters the tree machinery.
 //!
 //! The backend keeps cumulative event, blossom and wake counts
 //! ([`AltTreeBackend::counters`]); they are plain integer bumps on paths
@@ -80,45 +93,49 @@
 //! stateless up to scratch: reused instances decode bit-identically to
 //! fresh ones.
 //!
-//! Exactness is pinned by *total matching weight equality* against the
-//! bitmask-DP oracle [`ExactBackend`](crate::ExactBackend) on every
-//! differential and property suite, plus a 30k-instance tie-heavy
-//! random-graph differential.
+//! Exactness is pinned by *total matching weight equality* (`==`) against
+//! the bitmask-DP oracle [`ExactBackend`](crate::ExactBackend), which sums
+//! the same integer units, on every differential and property suite, plus
+//! a 30k-instance tie-heavy random-graph differential.
 
-use crate::sparse::{DefectBoundaryMatch, DefectMatching, DefectPair, SparseEdgeId, SyndromeGraph};
+use crate::sparse::{
+    units_to_weight, DefectBoundaryMatch, DefectMatching, DefectPair, SyndromeGraph, BOUNDARY_END,
+};
 use crate::DecoderBackend;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Edges at or below this weight are treated as free by the zero-weight
-/// pre-pairing contraction.
-const ZERO_EPS: f64 = 1e-12;
 
 /// Sentinel node / defect id meaning "none".
 const NONE: u32 = u32::MAX;
 /// Sentinel partner id meaning "matched to the lattice boundary".
 const BOUNDARY: u32 = u32::MAX - 1;
 
+/// Growth rate of a defect's dual inside an outermost node of the given
+/// tree state: +1 outer, −1 inner, 0 free.
+#[inline]
+fn node_rate(state: i8) -> i64 {
+    match state {
+        0 => 1,
+        1 => -1,
+        _ => 0,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Region exploration (per-defect lazy Dijkstra).
 // ---------------------------------------------------------------------------
 
 /// One entry of a region's Dijkstra frontier heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Frontier {
-    cost: f64,
+    cost: i64,
     vertex: u32,
 }
-impl Eq for Frontier {}
 impl Ord for Frontier {
     fn cmp(&self, other: &Self) -> Ordering {
         // reversed: BinaryHeap is a max-heap; ties break on vertex id so
         // settle order is deterministic.
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.vertex.cmp(&self.vertex))
+        (other.cost, other.vertex).cmp(&(self.cost, self.vertex))
     }
 }
 impl PartialOrd for Frontier {
@@ -162,7 +179,7 @@ const KIND_ORDER: [EventKind; KINDS] = [
 /// (edge-tight) or a blossom node (shrink-to-zero).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Event {
-    t: f64,
+    t: i64,
     kind: EventKind,
     id: u32,
 }
@@ -176,7 +193,7 @@ fn source(kind: EventKind, id: u32) -> usize {
 /// All live entries at one virtual time: one id list per [`EventKind`].
 #[derive(Debug, Clone, Default)]
 struct Bucket {
-    t: f64,
+    t: i64,
     ids: [Vec<u32>; KINDS],
     /// Entries over all kinds; the bucket is released when it hits zero.
     len: u32,
@@ -198,21 +215,24 @@ const NO_SLOT: Slot = Slot {
 /// A time-bucketed event queue holding at most one live entry per
 /// `(kind, id)` source.
 ///
-/// Entries with exactly equal times share a bucket, so a matcher call that
-/// schedules thousands of events over a handful of distinct times keeps
-/// only a handful of buckets in order; everything else is a push or a
-/// `swap_remove` on a list.  Pop order is time, then kind, then the end of
-/// the kind's list first.  A newly scheduled entry is pushed on the end of
-/// its list, so without re-keys a kind pops last scheduled first.
-/// Scheduling a source that already has an entry moves that entry (re-key)
-/// instead of adding a second one; the move fills the vacated place with
-/// its list's last entry, which then pops in the moved entry's old turn.
+/// Entries with equal (integer) times share a bucket, so a matcher call
+/// that schedules thousands of events over a handful of distinct times
+/// keeps only a handful of buckets in order, and finds them by a binary
+/// search over times stored inline in the live list; everything else is a
+/// push or a `swap_remove` on a list.  Pop order is time, then kind, then
+/// the end of the kind's list first.  A newly scheduled entry is pushed on
+/// the end of its list, so without re-keys a kind pops last scheduled
+/// first.  Scheduling a source that already has an entry moves that entry
+/// (re-key) instead of adding a second one; the move fills the vacated
+/// place with its list's last entry, which then pops in the moved entry's
+/// old turn.
 #[derive(Debug, Clone, Default)]
 struct EventQueue {
     /// Bucket arena; slots are recycled through `spare`.
     buckets: Vec<Bucket>,
-    /// Live bucket slots sorted by time, the earliest last.
-    live: Vec<u32>,
+    /// `(time, bucket slot)` of every live bucket, sorted by time, the
+    /// earliest last.
+    live: Vec<(i64, u32)>,
     /// Released (empty) bucket slots.
     spare: Vec<u32>,
     /// Slot of each source's live entry (see [`source`]).
@@ -225,14 +245,13 @@ impl EventQueue {
     fn len(&self) -> usize {
         self.live
             .iter()
-            .map(|&b| self.buckets[b as usize].len as usize)
+            .map(|&(_, b)| self.buckets[b as usize].len as usize)
             .sum()
     }
 
-    /// Schedules source `(kind, id)` at finite time `t`: inserts it, or
-    /// moves its live entry to `t` (nothing to do when `t` is unchanged).
-    fn push(&mut self, t: f64, kind: EventKind, id: u32) {
-        debug_assert!(t.is_finite());
+    /// Schedules source `(kind, id)` at time `t`: inserts it, or moves its
+    /// live entry to `t` (nothing to do when `t` is unchanged).
+    fn push(&mut self, t: i64, kind: EventKind, id: u32) {
         let src = source(kind, id);
         if src >= self.pos.len() {
             self.pos.resize(src + 1, NO_SLOT);
@@ -258,9 +277,8 @@ impl EventQueue {
     /// Removes and returns the first event: earliest time, then first kind
     /// in [`EventKind`] order, then the last entry of that kind's list.
     fn pop(&mut self) -> Option<Event> {
-        let &b = self.live.last()?;
+        let &(t, b) = self.live.last()?;
         let bucket = &mut self.buckets[b as usize];
-        let t = bucket.t;
         let (kind, id) = KIND_ORDER
             .iter()
             .find_map(|&kind| bucket.ids[kind as usize].pop().map(|id| (kind, id)))
@@ -276,7 +294,7 @@ impl EventQueue {
 
     /// Drops every live entry, resetting only the positions they held.
     fn clear(&mut self) {
-        for &b in &self.live {
+        for &(_, b) in &self.live {
             let bucket = &mut self.buckets[b as usize];
             for kind in KIND_ORDER {
                 for id in bucket.ids[kind as usize].drain(..) {
@@ -285,17 +303,21 @@ impl EventQueue {
             }
             bucket.len = 0;
         }
-        self.spare.append(&mut self.live);
+        self.spare.extend(self.live.drain(..).map(|(_, b)| b));
+    }
+
+    /// Index in `live` of the first bucket not later than `t`.
+    #[inline]
+    fn live_index(&self, t: i64) -> usize {
+        self.live.partition_point(|&(bt, _)| bt > t)
     }
 
     /// The live bucket at time `t`, opened (from a spare slot if one is
     /// free) when no entry has that time yet.
-    fn bucket_at(&mut self, t: f64) -> u32 {
-        let at = self
-            .live
-            .partition_point(|&b| self.buckets[b as usize].t > t);
-        if let Some(&b) = self.live.get(at) {
-            if self.buckets[b as usize].t == t {
+    fn bucket_at(&mut self, t: i64) -> u32 {
+        let at = self.live_index(t);
+        if let Some(&(bt, b)) = self.live.get(at) {
+            if bt == t {
                 return b;
             }
         }
@@ -304,7 +326,7 @@ impl EventQueue {
             self.buckets.len() as u32 - 1
         });
         self.buckets[b as usize].t = t;
-        self.live.insert(at, b);
+        self.live.insert(at, (t, b));
         b
     }
 
@@ -320,10 +342,8 @@ impl EventQueue {
         bucket.len -= 1;
         if bucket.len == 0 {
             let t = bucket.t;
-            let at = self
-                .live
-                .partition_point(|&b| self.buckets[b as usize].t > t);
-            debug_assert_eq!(self.live[at], slot.bucket);
+            let at = self.live_index(t);
+            debug_assert_eq!(self.live[at].1, slot.bucket);
             self.live.remove(at);
             self.spare.push(slot.bucket);
         }
@@ -331,14 +351,31 @@ impl EventQueue {
 }
 
 /// A discovered defect–defect candidate edge: concrete residual-defect
-/// endpoints and the best (smallest) meet cost seen so far.  The cost only
-/// ever decreases, and equals the true shortest-path distance whenever the
-/// edge goes tight (see the module docs).
+/// endpoints and the best (smallest) meet cost seen so far, in units.  The
+/// cost only ever decreases, and equals the true shortest-path distance
+/// whenever the edge goes tight (see the module docs).
 #[derive(Debug, Clone, Copy)]
 struct Cand {
     a: u32,
     b: u32,
-    c: f64,
+    c: i64,
+}
+
+/// A defect's dual `y` as materialised at virtual time `at`, and the rate
+/// it grows at under the current tree structure (see [`node_rate`]).
+#[derive(Debug, Clone, Copy)]
+struct Dual {
+    y: i64,
+    at: i64,
+    rate: i64,
+}
+
+/// A blossom's dual `z` as materialised at virtual time `at`; its rate,
+/// twice its defects', follows the blossom's tree state.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlossomDual {
+    z: i64,
+    at: i64,
 }
 
 // ---------------------------------------------------------------------------
@@ -356,23 +393,22 @@ pub struct AltTreeBackend {
     // -- per-call problem size ------------------------------------------------
     /// Residual defect count `k` of the current call.
     k: usize,
-    /// Virtual time: every growing region's dual advances at rate 1.
-    now: f64,
-    /// Slack tolerance, scaled from the largest edge weight of the graph.
-    eps: f64,
+    /// Virtual time, in units: every growing region's dual advances at
+    /// rate 1.
+    now: i64,
 
     // -- region exploration ---------------------------------------------------
     /// One Dijkstra frontier heap per residual defect (reused, grow-only).
     fronts: Vec<BinaryHeap<Frontier>>,
     /// `claims[v]` = `(region, dist)` settles of vertex `v`, in settle order.
-    claims: Vec<Vec<(u32, f64)>>,
+    claims: Vec<Vec<(u32, i64)>>,
     /// Vertices holding claims, for cheap clearing next call.
     touched: Vec<u32>,
     /// Cheapest `(cost, boundary edge)` attachment per residual defect.
-    bnd: Vec<Option<(f64, SparseEdgeId)>>,
+    bnd: Vec<Option<(i64, u32)>>,
     /// The boundary attachment actually matched, captured at augment time so
     /// later discoveries cannot retarget an already-committed match.
-    bnd_used: Vec<Option<(f64, SparseEdgeId)>>,
+    bnd_used: Vec<Option<(i64, u32)>>,
 
     // -- candidate edges ------------------------------------------------------
     cands: Vec<Cand>,
@@ -380,13 +416,10 @@ pub struct AltTreeBackend {
     adj: Vec<Vec<u32>>,
 
     // -- duals (lazily materialised against `now`) ----------------------------
-    /// Defect dual at its last materialisation.
-    y: Vec<f64>,
-    /// Virtual time of that materialisation.
-    y_at: Vec<f64>,
-    /// Blossom dual at its last materialisation (slots `k..`).
-    z: Vec<f64>,
-    z_at: Vec<f64>,
+    /// Dual record of each residual defect.
+    duals: Vec<Dual>,
+    /// Dual record of each blossom node (slots `k..`).
+    z: Vec<BlossomDual>,
 
     // -- alternating-tree / blossom structure ---------------------------------
     /// Outermost container of each node id (`st[x] == x` iff outermost).
@@ -484,50 +517,39 @@ impl AltTreeBackend {
 
     // -- dual accessors -------------------------------------------------------
 
-    /// Growth rate of a defect's dual under the current tree structure.
+    /// Growth rate of a defect's dual under the current tree structure
+    /// (the cached rate of its dual record).
     #[inline]
-    fn rate(&self, defect: u32) -> f64 {
-        match self.state[self.st[defect as usize] as usize] {
-            0 => 1.0,
-            1 => -1.0,
-            _ => 0.0,
-        }
+    fn rate(&self, defect: u32) -> i64 {
+        let rate = self.duals[defect as usize].rate;
+        debug_assert_eq!(
+            rate,
+            node_rate(self.state[self.st[defect as usize] as usize]),
+            "stale cached rate of defect {defect}"
+        );
+        rate
     }
 
     /// Current dual of a defect.
     #[inline]
-    fn y_now(&self, defect: u32) -> f64 {
-        let d = defect as usize;
-        self.y[d] + self.rate(defect) * (self.now - self.y_at[d])
+    fn y_now(&self, defect: u32) -> i64 {
+        let d = self.duals[defect as usize];
+        d.y + d.rate * (self.now - d.at)
     }
 
     /// Current dual of a blossom node.
     #[inline]
-    fn z_now(&self, b: u32) -> f64 {
-        let rate = match self.state[b as usize] {
-            0 => 2.0,
-            1 => -2.0,
-            _ => 0.0,
-        };
-        self.z[b as usize] + rate * (self.now - self.z_at[b as usize])
+    fn z_now(&self, b: u32) -> i64 {
+        let d = self.z[b as usize];
+        d.z + 2 * node_rate(self.state[b as usize]) * (self.now - d.at)
     }
 
-    /// Materialises a defect's dual at the current time (call *before*
+    /// Materialises a blossom's dual at the current time (call *before*
     /// changing the tree state that defines its rate).
     #[inline]
-    fn freeze_y(&mut self, defect: u32) {
-        let v = self.y_now(defect);
-        let d = defect as usize;
-        self.y[d] = v;
-        self.y_at[d] = self.now;
-    }
-
-    /// Materialises a blossom's dual at the current time.
-    #[inline]
     fn freeze_z(&mut self, b: u32) {
-        let v = self.z_now(b);
-        self.z[b as usize] = v;
-        self.z_at[b as usize] = self.now;
+        let z = self.z_now(b);
+        self.z[b as usize] = BlossomDual { z, at: self.now };
     }
 
     /// Replaces `self.walk` with every concrete defect contained in node `x`.
@@ -544,11 +566,18 @@ impl AltTreeBackend {
         }
     }
 
-    /// Freezes the duals of every defect in node `x` (before a state flip).
-    fn freeze_node(&mut self, x: u32) {
+    /// Re-reads the growth rate of every defect in node `x` from the tree
+    /// state of its outermost container (call *after* the state change),
+    /// materialising each dual under the rate it grew at until now.  Leaves
+    /// the defects in `self.walk`.
+    fn set_rates(&mut self, x: u32) {
+        let rate = node_rate(self.state[self.st[x as usize] as usize]);
         self.collect_defects(x);
         for i in 0..self.walk.len() {
-            self.freeze_y(self.walk[i]);
+            let d = &mut self.duals[self.walk[i] as usize];
+            d.y += d.rate * (self.now - d.at);
+            d.at = self.now;
+            d.rate = rate;
         }
     }
 
@@ -557,27 +586,27 @@ impl AltTreeBackend {
     /// Schedules source `(kind, id)` at `t` (clamped to now), replacing its
     /// live entry if it has one.
     #[inline]
-    fn push_event(&mut self, t: f64, kind: EventKind, id: u32) {
-        if t.is_finite() {
-            self.events.push(t.max(self.now), kind, id);
-        }
+    fn push_event(&mut self, t: i64, kind: EventKind, id: u32) {
+        self.events.push(t.max(self.now), kind, id);
     }
 
     /// Schedules the next settle of `defect`'s region, if it is growing.
     fn schedule_settle(&mut self, defect: u32) {
-        if self.rate(defect) <= 0.0 {
+        if self.rate(defect) <= 0 {
             return;
         }
-        // Skip frontier entries already settled by this region.
-        while let Some(&f) = self.fronts[defect as usize].peek() {
-            if self.claimed_at(f.vertex as usize, defect).is_some() {
-                self.fronts[defect as usize].pop();
-                continue;
-            }
-            let t = self.now + (f.cost - self.y_now(defect));
+        if let Some(t) = self.next_settle_time(defect) {
             self.push_event(t, EventKind::Settle, defect);
-            return;
         }
+    }
+
+    /// Time at which candidate `c` goes tight while its endpoints grow at
+    /// combined rate `rs > 0`.
+    #[inline]
+    fn tight_time(&self, c: Cand, rs: i64) -> i64 {
+        let slack = c.c - self.y_now(c.a) - self.y_now(c.b);
+        debug_assert_eq!(slack % rs, 0, "odd slack {slack} at rate {rs}");
+        self.now + slack / rs
     }
 
     /// Schedules the tight event of candidate `cid`, if its endpoints'
@@ -589,17 +618,15 @@ impl AltTreeBackend {
             return; // internal to one node
         }
         let rs = self.rate(c.a) + self.rate(c.b);
-        if rs <= 0.0 {
-            return;
+        if rs > 0 {
+            self.push_event(self.tight_time(c, rs), EventKind::EdgeTight, cid);
         }
-        let slack = c.c - self.y_now(c.a) - self.y_now(c.b);
-        self.push_event(self.now + slack / rs, EventKind::EdgeTight, cid);
     }
 
     /// Schedules `defect`'s boundary-hit event, if it is growing and a
     /// boundary attachment is known.
     fn schedule_boundary(&mut self, defect: u32) {
-        if self.rate(defect) <= 0.0 {
+        if self.rate(defect) <= 0 {
             return;
         }
         if let Some((c, _)) = self.bnd[defect as usize] {
@@ -608,11 +635,18 @@ impl AltTreeBackend {
         }
     }
 
+    /// Time at which inner blossom `b`'s shrinking dual reaches zero.
+    #[inline]
+    fn blossom_zero_time(&self, b: u32) -> i64 {
+        let z = self.z_now(b);
+        debug_assert_eq!(z % 2, 0, "odd blossom dual {z}");
+        self.now + z / 2
+    }
+
     /// Schedules an inner blossom's shrink-to-zero expansion event.
     fn schedule_blossom(&mut self, b: u32) {
         if self.state[b as usize] == 1 {
-            let t = self.now + self.z_now(b) / 2.0;
-            self.push_event(t, EventKind::BlossomZero, b);
+            self.push_event(self.blossom_zero_time(b), EventKind::BlossomZero, b);
         }
     }
 
@@ -626,34 +660,37 @@ impl AltTreeBackend {
         }
     }
 
-    /// Wakes every defect of node `x` after a state change that raised its
-    /// growth rate — the one call every such change funnels through.  Nodes
-    /// whose rate fell or stayed are never refreshed: none of their event
-    /// times can have moved earlier.
-    fn refresh_node(&mut self, x: u32) {
+    /// Wakes every defect of node `x` (found by the last walk over it)
+    /// after a state change that raised its growth rate.
+    fn wake_walk(&mut self) {
         self.counters.nodes_woken += 1;
-        self.collect_defects(x);
         for i in 0..self.walk.len() {
             self.wake(self.walk[i]);
         }
     }
 
+    /// Updates the rates of node `x`'s defects after a state change that
+    /// raised them, and wakes them — the one call every such change
+    /// funnels through.  Nodes whose rate fell only get [`Self::set_rates`]:
+    /// none of their event times can have moved earlier.
+    fn refresh_node(&mut self, x: u32) {
+        self.set_rates(x);
+        self.wake_walk();
+    }
+
     // -- candidate discovery --------------------------------------------------
 
-    /// The distance at which `region` settled `vertex`, if it has.
+    /// Whether `region` has settled `vertex`.
     #[inline]
-    fn claimed_at(&self, vertex: usize, region: u32) -> Option<f64> {
-        self.claims[vertex]
-            .iter()
-            .find(|&&(r, _)| r == region)
-            .map(|&(_, d)| d)
+    fn claimed(&self, vertex: usize, region: u32) -> bool {
+        self.claims[vertex].iter().any(|&(r, _)| r == region)
     }
 
     /// Records or improves the candidate edge between the settling region
     /// `a` and residual defect `b` at meet cost `c`, scheduling its tight
     /// event.  `cand_of` holds `a`'s candidates (see [`Self::settle`]), so
     /// the dedup is one lookup.
-    fn offer_cand(&mut self, a: u32, b: u32, c: f64) {
+    fn offer_cand(&mut self, a: u32, b: u32, c: i64) {
         if a == b {
             return;
         }
@@ -678,35 +715,33 @@ impl AltTreeBackend {
     /// within the region's current dual, discovering meets and boundary
     /// attachments, then re-schedules the next settle.
     fn settle(&mut self, graph: &SyndromeGraph, defect: u32) {
-        if self.rate(defect) <= 0.0 {
+        if self.rate(defect) <= 0 {
             return; // stale event; re-scheduled on the next wake
         }
+        let d = defect as usize;
         // Every meet found below is offered with `a == defect`: stamp the
         // candidates `defect` already has, indexed by their other endpoint.
         self.settle_epoch += 1;
-        for &cid in &self.adj[defect as usize] {
+        for &cid in &self.adj[d] {
             let c = self.cands[cid as usize];
             let other = if c.a == defect { c.b } else { c.a };
             self.cand_of[other as usize] = (self.settle_epoch, cid);
         }
         loop {
-            let Some(&front) = self.fronts[defect as usize].peek() else {
+            let Some(&front) = self.fronts[d].peek() else {
                 return;
             };
             let (cost, vertex) = (front.cost, front.vertex as usize);
-            if self.claimed_at(vertex, defect).is_some() {
-                self.fronts[defect as usize].pop();
+            if self.claimed(vertex, defect) {
+                self.fronts[d].pop();
                 continue;
             }
-            if cost > self.y_now(defect) + self.eps {
-                self.push_event(
-                    self.now + (cost - self.y_now(defect)),
-                    EventKind::Settle,
-                    defect,
-                );
+            let y = self.y_now(defect);
+            if cost > y {
+                self.push_event(self.now + (cost - y), EventKind::Settle, defect);
                 return;
             }
-            self.fronts[defect as usize].pop();
+            self.fronts[d].pop();
             // Vertex meets: other regions that already settled this vertex.
             if self.claims[vertex].is_empty() {
                 self.touched.push(vertex as u32);
@@ -716,36 +751,35 @@ impl AltTreeBackend {
                 self.offer_cand(defect, other, cost + od);
             }
             self.claims[vertex].push((defect, cost));
-            for &eid in graph.incident(vertex) {
-                let edge = graph.edge(eid);
-                match edge.other(vertex) {
-                    Some(neighbor) => {
-                        let next = cost + edge.weight;
-                        // Edge meets: regions holding the far endpoint.
-                        for i in 0..self.claims[neighbor].len() {
-                            let (other, od) = self.claims[neighbor][i];
-                            if other != defect {
-                                self.offer_cand(defect, other, next + od);
-                            }
-                        }
-                        if self.claimed_at(neighbor, defect).is_none() {
-                            self.fronts[defect as usize].push(Frontier {
-                                cost: next,
-                                vertex: neighbor as u32,
-                            });
-                        }
+            for &half in graph.halves(vertex) {
+                let next = cost + i64::from(graph.units(half.edge as usize));
+                if half.to == BOUNDARY_END {
+                    let better = match self.bnd[d] {
+                        None => true,
+                        Some((c, e)) => next < c || (next == c && half.edge < e),
+                    };
+                    if better {
+                        self.bnd[d] = Some((next, half.edge));
+                        self.schedule_boundary(defect);
                     }
-                    None => {
-                        let next = cost + edge.weight;
-                        let better = match self.bnd[defect as usize] {
-                            None => true,
-                            Some((c, e)) => next < c || (next == c && eid < e),
-                        };
-                        if better {
-                            self.bnd[defect as usize] = Some((next, eid));
-                            self.schedule_boundary(defect);
-                        }
+                    continue;
+                }
+                let neighbor = half.to as usize;
+                // Edge meets: regions holding the far endpoint.
+                let mut mine = false;
+                for i in 0..self.claims[neighbor].len() {
+                    let (other, od) = self.claims[neighbor][i];
+                    if other == defect {
+                        mine = true;
+                    } else {
+                        self.offer_cand(defect, other, next + od);
                     }
+                }
+                if !mine {
+                    self.fronts[d].push(Frontier {
+                        cost: next,
+                        vertex: half.to,
+                    });
                 }
             }
         }
@@ -942,8 +976,7 @@ impl AltTreeBackend {
         self.pa_edge.push(NONE);
         self.matched.push(NONE);
         self.matched_edge.push(NONE);
-        self.z.push(0.0);
-        self.z_at.push(0.0);
+        self.z.push(BlossomDual::default());
         self.tree_tag.push(NONE);
         self.vis.push(0);
         self.flower.push(Vec::new());
@@ -979,16 +1012,15 @@ impl AltTreeBackend {
         debug_assert_eq!(fe.len(), fl.len());
         debug_assert_eq!(fl.len() % 2, 1, "blossom cycles are odd");
         let tag = self.tree_tag[lca as usize];
-        // Freeze member duals under their *old* rates before any flips, and
-        // note the inner children: only their rate changes (−1 → +1), the
-        // outer ones keep growing at +1.
+        // Note the inner children: only their rate changes (−1 → +1), the
+        // outer ones keep growing at +1.  Child blossom duals freeze under
+        // their old rates before any state changes.
         let mut flipped = std::mem::take(&mut self.flipped);
         flipped.clear();
         for &ch in &fl {
             if self.state[ch as usize] == 1 {
                 flipped.push(ch);
             }
-            self.freeze_node(ch);
             if ch as usize >= self.k {
                 self.freeze_z(ch);
             }
@@ -998,8 +1030,7 @@ impl AltTreeBackend {
         self.pa[b as usize] = self.pa[lca as usize];
         self.pa_edge[b as usize] = self.pa_edge[lca as usize];
         self.state[b as usize] = 0;
-        self.z[b as usize] = 0.0;
-        self.z_at[b as usize] = self.now;
+        self.z[b as usize] = BlossomDual { z: 0, at: self.now };
         self.tree_tag[b as usize] = tag;
         self.tree_members[tag as usize].push(b);
         for &ch in &fl {
@@ -1031,8 +1062,6 @@ impl AltTreeBackend {
             pc.b
         };
         let tag = self.tree_tag[bi];
-        // Freeze every member defect under the inner (shrinking) rate.
-        self.freeze_node(b);
         for i in 0..self.flower[bi].len() {
             let ch = self.flower[bi][i];
             if ch as usize >= self.k {
@@ -1089,11 +1118,19 @@ impl AltTreeBackend {
         self.pa_edge[bi] = NONE;
         self.free_slots.push(b);
         // fl[even < pr] and xr = fl[pr] stay inner at rate −1, so every
-        // event they touch stays parked; the outer (−1 → +1) and freed
-        // (−1 → 0) children wake.
+        // event they touch stays parked and their dual records stand; the
+        // outer (−1 → +1) and freed (−1 → 0) children wake, once every
+        // changed rate is in place.
+        let rose = |i: usize| i > pr || i % 2 == 1;
         for (i, &ch) in fl.iter().enumerate() {
-            if i > pr || i % 2 == 1 {
-                self.refresh_node(ch);
+            if rose(i) {
+                self.set_rates(ch);
+            }
+        }
+        for (i, &ch) in fl.iter().enumerate() {
+            if rose(i) {
+                self.collect_defects(ch);
+                self.wake_walk();
             }
         }
         self.counters.blossoms_expanded += 1;
@@ -1125,17 +1162,16 @@ impl AltTreeBackend {
             self.unmatched -= 1;
             return;
         }
-        self.freeze_node(f);
         if f as usize >= self.k {
             self.freeze_z(f);
         }
         self.state[f as usize] = 1;
+        self.set_rates(f);
         self.pa[f as usize] = av;
         self.pa_edge[f as usize] = cid;
         self.tree_tag[f as usize] = tag;
         self.tree_members[tag as usize].push(f);
         let p = self.st[self.matched[f as usize] as usize];
-        self.freeze_node(p);
         if p as usize >= self.k {
             self.freeze_z(p);
         }
@@ -1146,7 +1182,8 @@ impl AltTreeBackend {
         self.tree_members[tag as usize].push(p);
         // Only `p` speeds up (free → outer, 0 → +1).  `f` slows (free →
         // inner, 0 → −1), so its scheduled events can only be late, and
-        // the pop-time re-costing drops or re-keys them.
+        // the pop-time re-costing drops or re-keys them; only its rates
+        // changed above.
         self.refresh_node(p);
         if f as usize >= self.k {
             self.schedule_blossom(f);
@@ -1202,7 +1239,8 @@ impl AltTreeBackend {
     /// Dismantles a tree after augmentation: every still-live outermost
     /// member goes free (duals frozen).  Only the inner members speed up
     /// (−1 → 0) and get re-scheduled; the outer ones slow (+1 → 0), so
-    /// their scheduled events can only be late.
+    /// their scheduled events can only be late and only their rates
+    /// change.
     fn teardown(&mut self, tag: u32) {
         let members = std::mem::take(&mut self.tree_members[tag as usize]);
         for &x in &members {
@@ -1210,7 +1248,6 @@ impl AltTreeBackend {
             if self.tree_tag[xi] != tag || self.st[xi] != x || self.state[xi] == -1 {
                 continue; // absorbed, expanded away, or re-homed
             }
-            self.freeze_node(x);
             if xi >= self.k {
                 self.freeze_z(x);
             }
@@ -1221,6 +1258,8 @@ impl AltTreeBackend {
             self.tree_tag[xi] = NONE;
             if was_inner {
                 self.refresh_node(x);
+            } else {
+                self.set_rates(x);
             }
         }
         self.tree_members[tag as usize] = members;
@@ -1256,7 +1295,7 @@ impl AltTreeBackend {
         let k = self.vertices.len();
         let n = graph.num_vertices();
         self.k = k;
-        self.now = 0.0;
+        self.now = 0;
         self.unmatched = k;
         self.vis_epoch = 0;
         for &v in &self.touched {
@@ -1271,8 +1310,16 @@ impl AltTreeBackend {
         self.free_slots.clear();
         self.free_trees.clear();
         self.n_ids = k;
-        fit(&mut self.y, k, 0.0);
-        fit(&mut self.y_at, k, 0.0);
+        // Every defect starts as the outer root of its own tree.
+        fit(
+            &mut self.duals,
+            k,
+            Dual {
+                y: 0,
+                at: 0,
+                rate: 1,
+            },
+        );
         fit(&mut self.bnd, k, None);
         fit(&mut self.bnd_used, k, None);
         fit(&mut self.cand_of, k, (0, NONE));
@@ -1294,8 +1341,7 @@ impl AltTreeBackend {
         fit(&mut self.pa_edge, k, NONE);
         fit(&mut self.matched, k, NONE);
         fit(&mut self.matched_edge, k, NONE);
-        fit(&mut self.z, k, 0.0);
-        fit(&mut self.z_at, k, 0.0);
+        fit(&mut self.z, k, BlossomDual::default());
         fit(&mut self.vis, k, 0);
         self.flower.truncate(k);
         while self.flower.len() < k {
@@ -1320,7 +1366,7 @@ impl AltTreeBackend {
             self.tree_tag[i] = i as u32;
             self.fronts[i].clear();
             self.fronts[i].push(Frontier {
-                cost: 0.0,
+                cost: 0,
                 vertex: vertex as u32,
             });
             self.schedule_settle(i as u32);
@@ -1348,13 +1394,13 @@ impl AltTreeBackend {
             match ev.kind {
                 EventKind::Settle => {
                     let u = ev.id;
-                    if self.rate(u) <= 0.0 {
+                    if self.rate(u) <= 0 {
                         continue; // re-scheduled when the region grows again
                     }
                     let Some(t) = self.next_settle_time(u) else {
                         continue; // region fully explored
                     };
-                    if t > ev.t + self.eps {
+                    if t > ev.t {
                         self.push_event(t, EventKind::Settle, u);
                         continue;
                     }
@@ -1371,12 +1417,11 @@ impl AltTreeBackend {
                         continue; // became internal to one node
                     }
                     let rs = self.rate(c.a) + self.rate(c.b);
-                    if rs <= 0.0 {
+                    if rs <= 0 {
                         continue; // parked; re-woken on a state change
                     }
-                    let slack = c.c - self.y_now(c.a) - self.y_now(c.b);
-                    let t = self.now + slack / rs;
-                    if t > ev.t + self.eps {
+                    let t = self.tight_time(c, rs);
+                    if t > ev.t {
                         self.push_event(t, EventKind::EdgeTight, cid);
                         continue;
                     }
@@ -1396,14 +1441,14 @@ impl AltTreeBackend {
                 }
                 EventKind::BoundaryHit => {
                     let u = ev.id;
-                    if self.rate(u) <= 0.0 {
+                    if self.rate(u) <= 0 {
                         continue;
                     }
                     let Some((c, _)) = self.bnd[u as usize] else {
                         continue;
                     };
                     let t = self.now + (c - self.y_now(u));
-                    if t > ev.t + self.eps {
+                    if t > ev.t {
                         self.push_event(t, EventKind::BoundaryHit, u);
                         continue;
                     }
@@ -1416,8 +1461,8 @@ impl AltTreeBackend {
                     if self.state[b as usize] != 1 {
                         continue;
                     }
-                    let t = self.now + self.z_now(b) / 2.0;
-                    if t > ev.t + self.eps {
+                    let t = self.blossom_zero_time(b);
+                    if t > ev.t {
                         self.push_event(t, EventKind::BlossomZero, b);
                         continue;
                     }
@@ -1431,9 +1476,9 @@ impl AltTreeBackend {
 
     /// Time of `defect`'s next frontier settle (stale entries skipped), or
     /// `None` when the region has explored everything reachable.
-    fn next_settle_time(&mut self, defect: u32) -> Option<f64> {
+    fn next_settle_time(&mut self, defect: u32) -> Option<i64> {
         while let Some(&f) = self.fronts[defect as usize].peek() {
-            if self.claimed_at(f.vertex as usize, defect).is_some() {
+            if self.claimed(f.vertex as usize, defect) {
                 self.fronts[defect as usize].pop();
                 continue;
             }
@@ -1463,8 +1508,8 @@ impl AltTreeBackend {
                     .expect("boundary-matched defect without a committed attachment");
                 out.boundary.push(DefectBoundaryMatch {
                     defect: residual[i],
-                    edge,
-                    cost,
+                    edge: edge as usize,
+                    cost: units_to_weight(cost as u64),
                 });
             } else {
                 if (i as u32) < m {
@@ -1472,7 +1517,7 @@ impl AltTreeBackend {
                     out.pairs.push(DefectPair {
                         a: residual[i],
                         b: residual[m as usize],
-                        cost: self.cands[cid as usize].c,
+                        cost: units_to_weight(self.cands[cid as usize].c as u64),
                     });
                 }
                 let (ra, rb) = (find(&mut comp, i as u32), find(&mut comp, m));
@@ -1548,27 +1593,14 @@ impl DecoderBackend for AltTreeBackend {
         for &v in defects {
             assert!(v < n, "defect vertex {v} out of range");
         }
-        // One pass over the edges finds the largest weight, which scales the
-        // slack tolerance, and the smallest interior one: only a zero-weight
-        // interior edge calls for the contraction.
-        let (wmax, wmin) = graph
-            .edges()
-            .iter()
-            .fold((0.0f64, f64::INFINITY), |(hi, lo), e| {
-                let interior = if e.v.is_some() {
-                    e.weight
-                } else {
-                    f64::INFINITY
-                };
-                (hi.max(e.weight), lo.min(interior))
-            });
-        let contracted = wmin <= ZERO_EPS;
+        // Only a free interior edge calls for the contraction.
+        let contracted = graph.has_free_interior_edges();
         if contracted {
             self.zero_parent.clear();
             self.zero_parent.extend(0..n as u32);
-            for edge in graph.edges() {
+            for (id, edge) in graph.edges().iter().enumerate() {
                 if let Some(v) = edge.v {
-                    if edge.weight <= ZERO_EPS {
+                    if graph.units(id) == 0 {
                         let (ru, rv) = (self.zero_find(edge.u as u32), self.zero_find(v as u32));
                         if ru != rv {
                             self.zero_parent[ru as usize] = rv;
@@ -1577,7 +1609,6 @@ impl DecoderBackend for AltTreeBackend {
                 }
             }
         }
-        self.eps = (1.0 + wmax) * 1e-9;
         let mut residual = std::mem::take(&mut self.residual);
         residual.clear();
         if !contracted && defects.windows(2).all(|w| w[0] < w[1]) {
@@ -1606,13 +1637,6 @@ impl DecoderBackend for AltTreeBackend {
 mod tests {
     use super::*;
     use crate::ExactBackend;
-
-    fn assert_close(a: f64, b: f64, what: &str) {
-        assert!(
-            (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs())),
-            "{what}: {a} vs {b}"
-        );
-    }
 
     /// Tiny deterministic generator (a 64-bit LCG with an xor-shift output).
     struct Lcg(u64);
@@ -1647,7 +1671,7 @@ mod tests {
         assert!(m.pairs.is_empty());
         assert_eq!(m.boundary.len(), 1);
         // vertex 1: left boundary via edge 0 costs 1.0 + 0.5.
-        assert_close(m.boundary[0].cost, 1.5, "single defect boundary");
+        assert_eq!(m.boundary[0].cost, 1.5, "single defect boundary");
         assert_eq!(m.num_clusters, 1);
         assert!(m.is_perfect(1));
     }
@@ -1658,7 +1682,10 @@ mod tests {
         let m = AltTreeBackend::new().decode_defects(&g, &[1, 2]);
         assert_eq!(m.pairs.len(), 1);
         assert!(m.boundary.is_empty());
-        assert_close(m.total_cost(), 0.4, "adjacent pair");
+        // 0.4 nats is not a multiple of the quantum: the pair costs the
+        // edge's quantized weight.
+        assert_eq!(m.total_cost(), g.quantized_weight(1));
+        assert!((m.total_cost() - 0.4).abs() <= crate::WEIGHT_UNIT);
         assert_eq!(m.num_clusters, 1);
         assert!(m.is_perfect(2));
     }
@@ -1669,7 +1696,7 @@ mod tests {
         let m = AltTreeBackend::new().decode_defects(&g, &[0, 9]);
         assert_eq!(m.boundary.len(), 2);
         assert!(m.pairs.is_empty());
-        assert_close(m.total_cost(), 0.5, "two boundary matches");
+        assert_eq!(m.total_cost(), 0.5, "two boundary matches");
         assert_eq!(m.num_clusters, 2);
         assert!(m.is_perfect(2));
     }
@@ -1686,8 +1713,8 @@ mod tests {
         let m = AltTreeBackend::new().decode_defects(&g, &defects);
         assert!(m.is_perfect(defects.len()));
         let exact = ExactBackend::default().decode_defects(&g, &defects);
-        assert_close(m.total_cost(), exact.total_cost(), "zero stretch");
-        let zero_pairs = m.pairs.iter().filter(|p| p.cost <= ZERO_EPS).count();
+        assert_eq!(m.total_cost(), exact.total_cost(), "zero stretch");
+        let zero_pairs = m.pairs.iter().filter(|p| p.cost == 0.0).count();
         assert!(zero_pairs >= 2, "expected free pre-pairs, got {zero_pairs}");
     }
 
@@ -1704,9 +1731,9 @@ mod tests {
         let m = AltTreeBackend::new().decode_defects(&g, &defects);
         assert!(m.is_perfect(5));
         let exact = ExactBackend::default().decode_defects(&g, &defects);
-        assert_close(m.total_cost(), exact.total_cost(), "5-cycle blossom");
+        assert_eq!(m.total_cost(), exact.total_cost(), "5-cycle blossom");
         // Two unit pairs + one boundary escape.
-        assert_close(m.total_cost(), 12.0, "5-cycle value");
+        assert_eq!(m.total_cost(), 12.0, "5-cycle value");
     }
 
     /// Nested structure: a 3-blossom whose escape is contested.
@@ -1725,10 +1752,10 @@ mod tests {
             let m = AltTreeBackend::new().decode_defects(&g, &defects);
             assert!(m.is_perfect(defects.len()), "defects {defects:?}");
             let exact = ExactBackend::default().decode_defects(&g, &defects);
-            assert_close(
+            assert_eq!(
                 m.total_cost(),
                 exact.total_cost(),
-                &format!("triangle tail {defects:?}"),
+                "triangle tail {defects:?}"
             );
         }
     }
@@ -1750,11 +1777,7 @@ mod tests {
             let m = tree.decode_defects(&g, &defects);
             assert!(m.is_perfect(defects.len()), "round {round}");
             let e = exact.decode_defects(&g, &defects);
-            assert_close(
-                m.total_cost(),
-                e.total_cost(),
-                &format!("line round {round}"),
-            );
+            assert_eq!(m.total_cost(), e.total_cost(), "line round {round}");
         }
     }
 
@@ -1783,11 +1806,7 @@ mod tests {
             let m = tree.decode_defects(&g, &defects);
             assert!(m.is_perfect(defects.len()), "round {round}");
             let e = exact.decode_defects(&g, &defects);
-            assert_close(
-                m.total_cost(),
-                e.total_cost(),
-                &format!("ladder round {round}"),
-            );
+            assert_eq!(m.total_cost(), e.total_cost(), "ladder round {round}");
         }
     }
 
@@ -1819,15 +1838,11 @@ mod tests {
             let m = tree.decode_defects(&g, &defects);
             assert!(m.is_perfect(defects.len()), "round {round}");
             let e = exact.decode_defects(&g, &defects);
-            assert_close(
-                m.total_cost(),
-                e.total_cost(),
-                &format!("tie round {round}"),
-            );
+            assert_eq!(m.total_cost(), e.total_cost(), "tie round {round}");
         }
     }
 
-    fn pop_all(q: &mut EventQueue) -> Vec<(f64, EventKind, u32)> {
+    fn pop_all(q: &mut EventQueue) -> Vec<(i64, EventKind, u32)> {
         std::iter::from_fn(|| q.pop())
             .map(|e| (e.t, e.kind, e.id))
             .collect()
@@ -1836,13 +1851,13 @@ mod tests {
     #[test]
     fn queue_rekeys_entries_up_and_down() {
         let mut q = EventQueue::default();
-        q.push(3.0, EventKind::Settle, 0);
-        q.push(2.0, EventKind::Settle, 1);
-        q.push(5.0, EventKind::Settle, 2);
-        q.push(4.0, EventKind::Settle, 3);
-        q.push(1.0, EventKind::Settle, 2); // up: 5 -> 1
-        q.push(10.0, EventKind::Settle, 1); // down: 2 -> 10
-        q.push(4.0, EventKind::Settle, 3); // unchanged: a no-op
+        q.push(3, EventKind::Settle, 0);
+        q.push(2, EventKind::Settle, 1);
+        q.push(5, EventKind::Settle, 2);
+        q.push(4, EventKind::Settle, 3);
+        q.push(1, EventKind::Settle, 2); // up: 5 -> 1
+        q.push(10, EventKind::Settle, 1); // down: 2 -> 10
+        q.push(4, EventKind::Settle, 3); // unchanged: a no-op
         assert_eq!(q.len(), 4);
         let ids: Vec<u32> = pop_all(&mut q).iter().map(|e| e.2).collect();
         assert_eq!(ids, [2, 0, 3, 1]);
@@ -1854,32 +1869,32 @@ mod tests {
     #[test]
     fn queue_pops_in_time_kind_id_order() {
         let mut q = EventQueue::default();
-        q.push(1.0, EventKind::EdgeTight, 5);
-        q.push(1.0, EventKind::BoundaryHit, 0);
-        q.push(1.0, EventKind::Settle, 9);
-        q.push(1.0, EventKind::EdgeTight, 2);
-        q.push(0.5, EventKind::BoundaryHit, 7);
-        q.push(1.0, EventKind::BlossomZero, 4);
-        q.push(1.0, EventKind::EdgeTight, 8);
-        q.push(1.0, EventKind::BoundaryHit, 3);
+        q.push(2, EventKind::EdgeTight, 5);
+        q.push(2, EventKind::BoundaryHit, 0);
+        q.push(2, EventKind::Settle, 9);
+        q.push(2, EventKind::EdgeTight, 2);
+        q.push(1, EventKind::BoundaryHit, 7);
+        q.push(2, EventKind::BlossomZero, 4);
+        q.push(2, EventKind::EdgeTight, 8);
+        q.push(2, EventKind::BoundaryHit, 3);
         assert_eq!(
             pop_all(&mut q),
             [
-                (0.5, EventKind::BoundaryHit, 7),
-                (1.0, EventKind::Settle, 9),
-                (1.0, EventKind::BlossomZero, 4),
-                (1.0, EventKind::EdgeTight, 8),
-                (1.0, EventKind::EdgeTight, 2),
-                (1.0, EventKind::EdgeTight, 5),
-                (1.0, EventKind::BoundaryHit, 3),
-                (1.0, EventKind::BoundaryHit, 0),
+                (1, EventKind::BoundaryHit, 7),
+                (2, EventKind::Settle, 9),
+                (2, EventKind::BlossomZero, 4),
+                (2, EventKind::EdgeTight, 8),
+                (2, EventKind::EdgeTight, 2),
+                (2, EventKind::EdgeTight, 5),
+                (2, EventKind::BoundaryHit, 3),
+                (2, EventKind::BoundaryHit, 0),
             ]
         );
         assert!(q.pop().is_none());
         for id in 1..=3 {
-            q.push(1.0, EventKind::EdgeTight, id);
+            q.push(2, EventKind::EdgeTight, id);
         }
-        q.push(2.0, EventKind::EdgeTight, 1); // list [1, 2, 3] -> [3, 2]
+        q.push(4, EventKind::EdgeTight, 1); // list [1, 2, 3] -> [3, 2]
         let ids: Vec<u32> = pop_all(&mut q).iter().map(|e| e.2).collect();
         assert_eq!(ids, [2, 3, 1]);
     }
@@ -1890,35 +1905,35 @@ mod tests {
     #[test]
     fn queue_rekey_across_buckets_releases_emptied_ones() {
         let mut q = EventQueue::default();
-        q.push(1.0, EventKind::Settle, 0);
-        q.push(2.0, EventKind::EdgeTight, 1);
-        q.push(2.0, EventKind::EdgeTight, 2);
-        q.push(3.0, EventKind::Settle, 3);
-        q.push(4.0, EventKind::BoundaryHit, 4);
-        // Edge 1 leaves the t = 2 bucket for t = 3 and comes back: it now
+        q.push(2, EventKind::Settle, 0);
+        q.push(4, EventKind::EdgeTight, 1);
+        q.push(4, EventKind::EdgeTight, 2);
+        q.push(6, EventKind::Settle, 3);
+        q.push(8, EventKind::BoundaryHit, 4);
+        // Edge 1 leaves the t = 4 bucket for t = 6 and comes back: it now
         // pops as the latest-scheduled entry of its list, and edge 2 (moved
         // into its place) keeps a valid position.
-        q.push(3.0, EventKind::EdgeTight, 1);
+        q.push(6, EventKind::EdgeTight, 1);
         assert_eq!(q.live.len(), 4);
-        q.push(2.0, EventKind::EdgeTight, 1);
+        q.push(4, EventKind::EdgeTight, 1);
         assert_eq!(q.live.len(), 4);
-        // Settle 3 leaves t = 3 (in the middle of the queue) for t = 5:
-        // the t = 3 bucket empties, and its released slot opens t = 5.
-        q.push(5.0, EventKind::Settle, 3);
+        // Settle 3 leaves t = 6 (in the middle of the queue) for t = 10:
+        // the t = 6 bucket empties, and its released slot opens t = 10.
+        q.push(10, EventKind::Settle, 3);
         assert_eq!(q.live.len(), 4);
         assert_eq!(q.buckets.len(), 4);
         assert_eq!(q.len(), 5);
-        q.push(2.5, EventKind::BlossomZero, 6);
+        q.push(5, EventKind::BlossomZero, 6);
         assert_eq!(q.buckets.len(), 5);
         assert_eq!(
             pop_all(&mut q),
             [
-                (1.0, EventKind::Settle, 0),
-                (2.0, EventKind::EdgeTight, 1),
-                (2.0, EventKind::EdgeTight, 2),
-                (2.5, EventKind::BlossomZero, 6),
-                (4.0, EventKind::BoundaryHit, 4),
-                (5.0, EventKind::Settle, 3),
+                (2, EventKind::Settle, 0),
+                (4, EventKind::EdgeTight, 1),
+                (4, EventKind::EdgeTight, 2),
+                (5, EventKind::BlossomZero, 6),
+                (8, EventKind::BoundaryHit, 4),
+                (10, EventKind::Settle, 3),
             ]
         );
         assert!(q.live.is_empty());
@@ -1930,7 +1945,7 @@ mod tests {
     /// entry per source, and the exact same pop sequence.
     #[test]
     fn queue_keeps_one_live_entry_per_source() {
-        /// Lists per time tick (`t = tick / 4`), and each source's tick.
+        /// Lists per time tick, and each source's tick.
         #[derive(Default)]
         struct Model {
             lists: std::collections::BTreeMap<usize, [Vec<u32>; KINDS]>,
@@ -1955,7 +1970,7 @@ mod tests {
                 self.lists.entry(tick).or_default()[kind as usize].push(id);
                 old.is_some()
             }
-            fn pop(&mut self) -> Option<(f64, EventKind, u32)> {
+            fn pop(&mut self) -> Option<(i64, EventKind, u32)> {
                 let mut first = self.lists.first_entry()?;
                 let tick = *first.key();
                 let (kind, id) = KIND_ORDER
@@ -1966,7 +1981,7 @@ mod tests {
                     first.remove();
                 }
                 self.tick.remove(&(kind, id));
-                Some((tick as f64 * 0.25, kind, id))
+                Some((tick as i64, kind, id))
             }
         }
         fn schedule(q: &mut EventQueue, model: &mut Model, rng: &mut Lcg) -> bool {
@@ -1974,7 +1989,7 @@ mod tests {
             let id = rng.below(30) as u32;
             // Few distinct times, so buckets hold many entries.
             let tick = rng.below(12);
-            q.push(tick as f64 * 0.25, kind, id);
+            q.push(tick as i64, kind, id);
             model.push(tick, kind, id)
         }
         let mut rng = Lcg(0x9e3779b97f4a7c15);
@@ -2006,22 +2021,19 @@ mod tests {
     fn queue_clear_leaves_no_stale_positions() {
         let mut q = EventQueue::default();
         for id in 0..20 {
-            q.push(id as f64, EventKind::EdgeTight, id);
-            q.push(0.5 * id as f64, EventKind::Settle, id % 7);
+            q.push(2 * i64::from(id), EventKind::EdgeTight, id);
+            q.push(i64::from(id), EventKind::Settle, id % 7);
         }
         q.pop();
         q.clear();
         assert_eq!(q.len(), 0);
         assert!(q.live.is_empty());
         assert!(q.pos.iter().all(|s| s.bucket == NONE));
-        q.push(2.0, EventKind::EdgeTight, 3);
-        q.push(1.0, EventKind::EdgeTight, 19);
+        q.push(4, EventKind::EdgeTight, 3);
+        q.push(2, EventKind::EdgeTight, 19);
         assert_eq!(
             pop_all(&mut q),
-            [
-                (1.0, EventKind::EdgeTight, 19),
-                (2.0, EventKind::EdgeTight, 3)
-            ]
+            [(2, EventKind::EdgeTight, 19), (4, EventKind::EdgeTight, 3)]
         );
     }
 
@@ -2043,6 +2055,148 @@ mod tests {
             g.add_boundary_edge(r * cols + cols - 1, 0.1 + rng.uniform() * 2.0);
         }
         g
+    }
+
+    /// Per-defect shortest paths over `cost(edge id)` for the float oracle:
+    /// `(distance, edges on the path)` to every vertex, and to the cheapest
+    /// boundary (boundary edge included).  An O(V²) Dijkstra over a small
+    /// graph; ties keep the path found first.
+    fn shortest_paths(
+        g: &SyndromeGraph,
+        source: usize,
+        cost: &dyn Fn(usize) -> f64,
+    ) -> (Vec<(f64, usize)>, (f64, usize)) {
+        let n = g.num_vertices();
+        let mut best = vec![(f64::INFINITY, 0usize); n];
+        let mut done = vec![false; n];
+        let mut boundary = (f64::INFINITY, 0usize);
+        best[source] = (0.0, 0);
+        while let Some(u) = (0..n)
+            .filter(|&v| !done[v] && best[v].0.is_finite())
+            .min_by(|&a, &b| best[a].0.total_cmp(&best[b].0))
+        {
+            done[u] = true;
+            let (du, hu) = best[u];
+            for id in g.incident(u) {
+                let next = (du + cost(id), hu + 1);
+                match g.edge(id).other(u) {
+                    Some(v) if next.0 < best[v].0 => best[v] = next,
+                    None if next.0 < boundary.0 => boundary = next,
+                    _ => {}
+                }
+            }
+        }
+        (best, boundary)
+    }
+
+    /// The bitmask-DP optimum over `cost`-weighted shortest paths, summed
+    /// in `f64`, and the number of edges on the optimal matching's paths.
+    fn float_oracle(
+        g: &SyndromeGraph,
+        defects: &[usize],
+        cost: &dyn Fn(usize) -> f64,
+    ) -> (f64, usize) {
+        use crate::{ExactMatcher, MatchTarget, Matcher, MatchingProblem};
+        let paths: Vec<_> = defects
+            .iter()
+            .map(|&v| shortest_paths(g, v, cost))
+            .collect();
+        let problem = MatchingProblem::from_fn(
+            defects.len(),
+            |a, b| paths[a].0[defects[b]].0,
+            |a| paths[a].1 .0,
+        );
+        let matching = ExactMatcher.solve(&problem);
+        let edges = matching
+            .iter()
+            .map(|(a, target)| match target {
+                // each pair is visited from both ends
+                MatchTarget::Node(b) => paths[a].0[defects[b]].1,
+                MatchTarget::Boundary => 2 * paths[a].1 .1,
+            })
+            .sum::<usize>()
+            / 2;
+        (matching.total_cost(&problem), edges)
+    }
+
+    /// Distinct defect vertices, about one in `every`, at least one.
+    fn sample_defects(rng: &mut Lcg, n: usize, every: usize) -> Vec<usize> {
+        let mut defects: Vec<usize> = (0..n).filter(|_| rng.below(every) == 0).collect();
+        if defects.is_empty() {
+            defects.push(rng.below(n));
+        }
+        defects
+    }
+
+    /// On weights that are multiples of two units (2^-20 nats, free edges
+    /// included) quantization is lossless: the tree's total equals, bit for
+    /// bit, the float DP oracle's on the raw weights.
+    #[test]
+    fn quantization_is_lossless_on_multiples_of_two_units() {
+        let mut rng = Lcg(0x1055_1e55);
+        let mut tree = AltTreeBackend::new();
+        let step = 2.0 * crate::WEIGHT_UNIT;
+        let mut zero_instances = 0;
+        for round in 0..60 {
+            let (rows, cols) = (2 + rng.below(5), 2 + rng.below(5));
+            let mut g = SyndromeGraph::new(rows * cols);
+            let weight = |rng: &mut Lcg| match rng.below(10) {
+                0 => 0.0,
+                _ => (1 + rng.below(1 << 22)) as f64 * step,
+            };
+            for v in 0..rows * cols {
+                if (v + 1) % cols != 0 {
+                    g.add_edge(v, v + 1, weight(&mut rng));
+                }
+                if v + cols < rows * cols {
+                    g.add_edge(v, v + cols, weight(&mut rng));
+                }
+                if v % cols == 0 || (v + 1) % cols == 0 {
+                    g.add_boundary_edge(v, step + weight(&mut rng));
+                }
+            }
+            zero_instances += usize::from(g.has_free_interior_edges());
+            let defects = sample_defects(&mut rng, rows * cols, 3);
+            let m = tree.decode_defects(&g, &defects);
+            assert!(m.is_perfect(defects.len()), "round {round}");
+            for (id, e) in g.edges().iter().enumerate() {
+                assert_eq!(g.quantized_weight(id), e.weight);
+            }
+            let (raw, _) = float_oracle(&g, &defects, &|id| g.edge(id).weight);
+            assert_eq!(m.total_cost(), raw, "round {round}");
+        }
+        assert!(zero_instances > 10, "only {zero_instances} with free edges");
+    }
+
+    /// On real weights the tree's total stays within the documented
+    /// rounding bound of the float oracle on the raw weights: one unit per
+    /// edge on the paths of the float-optimal and the quantized-optimal
+    /// matchings.
+    #[test]
+    fn quantized_optimum_is_within_the_rounding_bound() {
+        let mut rng = Lcg(0x0b0d_b0d5);
+        let mut tree = AltTreeBackend::new();
+        let mut inexact = 0;
+        for round in 0..60 {
+            let (rows, cols) = (2 + rng.below(5), 2 + rng.below(5));
+            let g = random_grid(&mut rng, rows, cols);
+            let defects = sample_defects(&mut rng, rows * cols, 3);
+            let m = tree.decode_defects(&g, &defects);
+            assert!(m.is_perfect(defects.len()), "round {round}");
+            let (raw, raw_edges) = float_oracle(&g, &defects, &|id| g.edge(id).weight);
+            let (quantized, quantized_edges) =
+                float_oracle(&g, &defects, &|id| g.quantized_weight(id));
+            assert_eq!(m.total_cost(), quantized, "round {round}");
+            // The float oracle's own summation error is ~1e-15.
+            let bound = (raw_edges + quantized_edges) as f64 * crate::WEIGHT_UNIT + 1e-12;
+            assert!(
+                (m.total_cost() - raw).abs() <= bound,
+                "round {round}: tree {} vs raw optimum {raw}, bound {bound}",
+                m.total_cost()
+            );
+            inexact += usize::from(m.total_cost() != raw);
+        }
+        assert!(inexact > 30, "rounding moved only {inexact} of 60 totals");
     }
 
     /// A large decode leaves live events, candidates and blossom ids behind
@@ -2084,7 +2238,7 @@ mod tests {
             let m = AltTreeBackend::new().decode_defects(&g, &defects);
             assert!(m.is_perfect(defects.len()), "defects {defects:?}");
             let exact = ExactBackend::default().decode_defects(&g, &defects);
-            assert_close(m.total_cost(), exact.total_cost(), "repeated vertices");
+            assert_eq!(m.total_cost(), exact.total_cost(), "repeated vertices");
             assert!(
                 m.pairs
                     .iter()

@@ -14,41 +14,33 @@
 //! long-lived backend allocates only for the (small) per-cluster dense
 //! problems.
 
-use crate::sparse::{DefectBoundaryMatch, DefectMatching, DefectPair, SparseEdgeId, SyndromeGraph};
+use crate::sparse::{
+    units_to_weight, DefectBoundaryMatch, DefectMatching, DefectPair, SparseEdgeId, SyndromeGraph,
+    BOUNDARY_END,
+};
 use crate::{
     DecoderBackend, ExactMatcher, MatchTarget, Matcher, MatchingProblem, RefinedGreedyMatcher,
 };
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Per-defect shortest-path summary: distances to every other defect and the
-/// cheapest boundary attachment.
+/// Per-defect shortest-path summary, in weight units: distances to every
+/// other defect and the cheapest boundary attachment.
 struct DefectCosts {
-    /// `to_defect[j]` = minimum path cost to defect `j`.
-    to_defect: Vec<f64>,
+    /// `to_defect[j]` = minimum path cost to defect `j` (`u64::MAX` when
+    /// unreachable).
+    to_defect: Vec<u64>,
     /// Cheapest `(cost, boundary edge)` attachment, if any boundary is
     /// reachable.
-    boundary: Option<(f64, SparseEdgeId)>,
+    boundary: Option<(u64, SparseEdgeId)>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct Entry {
-    cost: f64,
-    vertex: usize,
-}
-impl Eq for Entry {}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // reversed: BinaryHeap is a max-heap
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-    }
-}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// A path cost in units as a weight, or infinity when unreachable.
+fn weight_of(units: u64) -> f64 {
+    if units == u64::MAX {
+        f64::INFINITY
+    } else {
+        units_to_weight(units)
     }
 }
 
@@ -58,17 +50,17 @@ impl PartialOrd for Entry {
 /// unreached.
 #[derive(Debug, Clone, Default)]
 struct DijkstraScratch {
-    dist: Vec<f64>,
+    dist: Vec<u64>,
     stamp: Vec<u32>,
     epoch: u32,
-    heap: BinaryHeap<Entry>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl DijkstraScratch {
     /// Prepares the scratch for one search over `n` vertices.
     fn begin(&mut self, n: usize) {
         if self.dist.len() < n {
-            self.dist.resize(n, f64::INFINITY);
+            self.dist.resize(n, u64::MAX);
             self.stamp.resize(n, 0);
         }
         self.heap.clear();
@@ -81,24 +73,25 @@ impl DijkstraScratch {
     }
 
     #[inline]
-    fn get(&self, v: usize) -> f64 {
+    fn get(&self, v: usize) -> u64 {
         if self.stamp[v] == self.epoch {
             self.dist[v]
         } else {
-            f64::INFINITY
+            u64::MAX
         }
     }
 
     #[inline]
-    fn set(&mut self, v: usize, d: f64) {
+    fn set(&mut self, v: usize, d: u64) {
         self.stamp[v] = self.epoch;
         self.dist[v] = d;
     }
 }
 
-/// Dijkstra from `defects[source]`, reporting distances to all defects and
-/// the cheapest boundary edge.  Ties on the boundary are broken towards the
-/// smallest edge id so results are deterministic.
+/// Dijkstra over the graph's integer weight units from `defects[source]`,
+/// reporting distances to all defects and the cheapest boundary edge.  Ties
+/// on the boundary are broken towards the smallest edge id so results are
+/// deterministic.
 fn dijkstra(
     graph: &SyndromeGraph,
     defects: &[usize],
@@ -106,39 +99,28 @@ fn dijkstra(
     scratch: &mut DijkstraScratch,
 ) -> DefectCosts {
     scratch.begin(graph.num_vertices());
-    let mut boundary: Option<(f64, SparseEdgeId)> = None;
+    let mut boundary: Option<(u64, SparseEdgeId)> = None;
     let start = defects[source];
-    scratch.set(start, 0.0);
-    scratch.heap.push(Entry {
-        cost: 0.0,
-        vertex: start,
-    });
-    while let Some(Entry { cost, vertex }) = scratch.heap.pop() {
-        if cost > scratch.get(vertex) {
+    scratch.set(start, 0);
+    scratch.heap.push(Reverse((0, start as u32)));
+    while let Some(Reverse((cost, vertex))) = scratch.heap.pop() {
+        if cost > scratch.get(vertex as usize) {
             continue;
         }
-        for &eid in graph.incident(vertex) {
-            let edge = graph.edge(eid);
-            let next_cost = cost + edge.weight;
-            match edge.other(vertex) {
-                Some(neighbor) => {
-                    if next_cost < scratch.get(neighbor) {
-                        scratch.set(neighbor, next_cost);
-                        scratch.heap.push(Entry {
-                            cost: next_cost,
-                            vertex: neighbor,
-                        });
-                    }
+        for half in graph.halves(vertex as usize) {
+            let eid = half.edge as usize;
+            let next_cost = cost + u64::from(graph.units(eid));
+            if half.to == BOUNDARY_END {
+                let better = match boundary {
+                    None => true,
+                    Some((c, e)) => next_cost < c || (next_cost == c && eid < e),
+                };
+                if better {
+                    boundary = Some((next_cost, eid));
                 }
-                None => {
-                    let better = match boundary {
-                        None => true,
-                        Some((c, e)) => next_cost < c || (next_cost == c && eid < e),
-                    };
-                    if better {
-                        boundary = Some((next_cost, eid));
-                    }
-                }
+            } else if next_cost < scratch.get(half.to as usize) {
+                scratch.set(half.to as usize, next_cost);
+                scratch.heap.push(Reverse((next_cost, half.to)));
             }
         }
     }
@@ -170,17 +152,17 @@ fn decode_dense(
         .map(|i| dijkstra(graph, defects, i, scratch))
         .collect();
 
-    // Symmetrise: Dijkstra costs are symmetric up to floating-point noise,
-    // and the dense matchers require exact symmetry.
+    // Integer path costs are exactly symmetric, and a sum of units is
+    // exact in `f64`, so the dense matchers see exact weights.
     let mut pair_cost = vec![f64::INFINITY; k * k];
     for i in 0..k {
         for j in (i + 1)..k {
-            let c = costs[i].to_defect[j].min(costs[j].to_defect[i]);
+            let c = weight_of(costs[i].to_defect[j]);
             pair_cost[i * k + j] = c;
             pair_cost[j * k + i] = c;
         }
     }
-    let boundary_cost = |i: usize| costs[i].boundary.map_or(f64::INFINITY, |(c, _)| c);
+    let boundary_cost = |i: usize| weight_of(costs[i].boundary.map_or(u64::MAX, |(c, _)| c));
 
     // Cluster decomposition via union-find: link i and j when pairing them
     // could ever beat sending both to the boundary.
@@ -247,7 +229,7 @@ fn decode_dense(
                     out.boundary.push(DefectBoundaryMatch {
                         defect: global,
                         edge,
-                        cost,
+                        cost: units_to_weight(cost),
                     });
                 }
             }

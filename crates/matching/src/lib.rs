@@ -63,6 +63,7 @@ pub use problem::{MatchTarget, Matching, MatchingProblem};
 pub use refine::RefinedGreedyMatcher;
 pub use sparse::{
     DefectBoundaryMatch, DefectMatching, DefectPair, SparseEdge, SparseEdgeId, SyndromeGraph,
+    MAX_EDGE_WEIGHT, WEIGHT_UNIT,
 };
 pub use union_find::UnionFindDecoder;
 

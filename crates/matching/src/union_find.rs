@@ -28,7 +28,9 @@
 //! are re-initialised in place on every call, so a long-lived
 //! `UnionFindDecoder` decodes window after window without reallocating.
 
-use crate::sparse::{DefectBoundaryMatch, DefectMatching, DefectPair, SyndromeGraph};
+use crate::sparse::{
+    units_to_weight, DefectBoundaryMatch, DefectMatching, DefectPair, SyndromeGraph,
+};
 use crate::DecoderBackend;
 
 /// The union-find decoder backend.  Select it with
@@ -90,7 +92,7 @@ impl Forest {
         }
         for (v, frontier) in self.frontier.iter_mut().enumerate().take(n) {
             frontier.clear();
-            frontier.extend_from_slice(graph.incident(v));
+            frontier.extend(graph.incident(v));
         }
     }
 
@@ -162,7 +164,7 @@ struct Scratch {
     round_edges: Vec<usize>,
     // Peeling buffers.
     adj: Vec<Vec<(usize, usize)>>,
-    token: Vec<Option<(usize, f64)>>,
+    token: Vec<Option<(usize, u64)>>,
     visited: Vec<bool>,
     order: Vec<usize>,
     tree_parent: Vec<(usize, usize)>,
@@ -367,11 +369,12 @@ impl UnionFindDecoder {
             }
         }
 
-        // Defect tokens: (defect-list index, accumulated path cost).
+        // Defect tokens: (defect-list index, accumulated path cost in
+        // the graph's weight units).
         token.clear();
         token.resize(n, None);
         for (idx, &v) in defects.iter().enumerate() {
-            token[v] = Some((idx, 0.0));
+            token[v] = Some((idx, 0));
         }
 
         let mut out = DefectMatching::default();
@@ -425,12 +428,12 @@ impl UnionFindDecoder {
                 let v = order[i];
                 let (p, eid) = tree_parent[i];
                 if let Some((idx, cost)) = token[v].take() {
-                    let cost = cost + graph.edge(eid).weight;
+                    let cost = cost + u64::from(graph.units(eid));
                     match token[p].take() {
                         Some((other, other_cost)) => out.pairs.push(DefectPair {
                             a: other,
                             b: idx,
-                            cost: other_cost + cost,
+                            cost: units_to_weight(other_cost + cost),
                         }),
                         None => token[p] = Some((idx, cost)),
                     }
@@ -443,7 +446,7 @@ impl UnionFindDecoder {
                 out.boundary.push(DefectBoundaryMatch {
                     defect: idx,
                     edge: be,
-                    cost: cost + graph.edge(be).weight,
+                    cost: units_to_weight(cost + u64::from(graph.units(be))),
                 });
             }
         }

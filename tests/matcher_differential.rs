@@ -49,11 +49,6 @@ fn stream_rng(salt: u64, d: usize, stream: usize) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(salt ^ (d as u64 * 1_000_003 + stream as u64))
 }
 
-/// Whether two matching weights agree to the suite's relative tolerance.
-fn same_weight(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6 * (1.0 + b.abs())
-}
-
 /// The bitmask-DP oracle's matching weight for the window `outcome`
 /// decoded, over the same space-time graph, or `None` when some
 /// independent cluster is too large for the DP.
@@ -123,7 +118,7 @@ fn differential(config: MemoryExperimentConfig, strategy: DecodingStrategy, salt
         match oracle_weight(&mut oracle, &graph, &history, &model, &tree_out) {
             Some(ow) => {
                 assert!(
-                    same_weight(tw, ow),
+                    tw == ow,
                     "d={d} stream {stream}: tree weight {tw} != exact weight {ow} \
                      on an exactly-solvable window ({} events)",
                     tree_out.num_events()
@@ -135,7 +130,7 @@ fn differential(config: MemoryExperimentConfig, strategy: DecodingStrategy, salt
                 // bounds the optimum from above.
                 let gw = greedy.decode(&graph, &history, &model).total_weight;
                 assert!(
-                    tw <= gw + 1e-6 * (1.0 + gw.abs()),
+                    tw <= gw,
                     "d={d} stream {stream}: tree weight {tw} heavier than greedy's \
                      {gw} on a {}-event window",
                     tree_out.num_events()
@@ -294,7 +289,7 @@ fn tie_heavy_differential(instances: usize, salt: u64) {
         );
         let (tw, ow) = (tree_match.total_cost(), oracle_match.total_cost());
         assert!(
-            (tw - ow).abs() <= 1e-6 * (1.0 + ow.abs()),
+            tw == ow,
             "instance {instance}: tree weight {tw} != oracle weight {ow} \
              ({} defects)",
             defects.len()

@@ -131,7 +131,7 @@ fn alt_tree_backend_equals_exact_on_random_sparse_problems() {
             oracle.decode_defects(&graph, &defects).total_cost(),
         );
         assert!(
-            (tc - ec).abs() <= 1e-6 * (1.0 + ec.abs()),
+            tc == ec,
             "case {case}: tree ({tc}) != exact optimum ({ec}) on a \
              {n}-defect sparse problem"
         );
