@@ -58,9 +58,9 @@ impl EngineArgs {
         ChaCha8Rng::seed_from_u64(self.stream_seed(salt))
     }
 
-    /// The raw `u64` stream seed behind [`EngineArgs::rng`], for APIs
-    /// (like [`q3de::sim::MemoryExperiment::estimate_parallel`] and the
-    /// sweep engine's shot kernels) that derive per-shot RNGs themselves.
+    /// The raw `u64` stream seed behind [`EngineArgs::rng`], for the sweep
+    /// engine's shot kernels (like [`q3de::sim::SweepPoint::from_memory`]),
+    /// which derive per-shot RNGs themselves.
     pub fn stream_seed(&self, salt: u64) -> u64 {
         self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(salt)
     }

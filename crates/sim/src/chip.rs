@@ -7,9 +7,10 @@
 //! criterion of the paper's Secs. V/VII evaluation.  Strikes are placed in
 //! chip coordinates and fanned out into per-patch regions via
 //! [`ChipStrike::fan_out`], so a single burst straddling a patch boundary
-//! degrades several patches of the same shot.  Per-patch failure counts are
-//! aggregated with [`run_shots_fold`](crate::run_shots_fold), the fold
-//! variant of the shot runner.
+//! degrades several patches of the same shot.  Sweeps run chip shots on the
+//! engine through [`SweepPoint::from_chip`](crate::engine::SweepPoint::from_chip);
+//! [`ChipMemoryExperiment::run_chip_shot`] also reports per-patch failures
+//! and whether the shot was struck, for callers that tally those.
 //!
 //! Each per-patch [`MemoryExperiment`] owns a pool of persistent decoder
 //! contexts (see [`q3de_decoder::ContextPool`]): a chip sweep constructs
@@ -76,49 +77,6 @@ impl ChipMemoryExperimentConfig {
     pub fn with_strike(mut self, strike: ChipStrikePolicy) -> Self {
         self.strike = strike;
         self
-    }
-}
-
-/// Aggregated chip-level Monte-Carlo estimate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChipEstimate {
-    /// Number of chip shots simulated.
-    pub shots: usize,
-    /// Shots in which at least one patch failed logically.
-    pub chip_failures: usize,
-    /// Per-patch logical failure counts, in row-major patch order.
-    pub per_patch_failures: Vec<usize>,
-    /// Shots whose strike policy produced a strike (independent of the
-    /// decoding strategy: `MbbeFree` shots still count as struck, they just
-    /// ignore the regions).
-    pub struck_shots: usize,
-    /// Number of noisy rounds per shot.
-    pub rounds: usize,
-}
-
-impl ChipEstimate {
-    /// System (chip) logical failure rate per shot.
-    pub fn chip_failure_rate(&self) -> f64 {
-        if self.shots == 0 {
-            return 0.0;
-        }
-        self.chip_failures as f64 / self.shots as f64
-    }
-
-    /// Per-patch logical failure rates, in row-major patch order.
-    pub fn per_patch_rates(&self) -> Vec<f64> {
-        if self.shots == 0 {
-            return vec![0.0; self.per_patch_failures.len()];
-        }
-        self.per_patch_failures
-            .iter()
-            .map(|&f| f as f64 / self.shots as f64)
-            .collect()
-    }
-
-    /// The worst per-patch failure rate.
-    pub fn max_patch_rate(&self) -> f64 {
-        self.per_patch_rates().into_iter().fold(0.0, f64::max)
     }
 }
 
@@ -284,63 +242,6 @@ impl ChipMemoryExperiment {
             .collect();
         (failures, struck)
     }
-
-    /// Monte-Carlo estimate over all available cores via
-    /// [`crate::run_shots_fold_auto`].  Stream indices are drawn from a
-    /// global counter exactly like
-    /// [`MemoryExperiment::estimate_parallel`], so the aggregate counts are
-    /// machine-independent for a fixed `base_seed`.
-    pub fn estimate_parallel<R>(
-        &self,
-        shots: usize,
-        strategy: DecodingStrategy,
-        base_seed: u64,
-    ) -> ChipEstimate
-    where
-        R: Rng + SeedableRng,
-    {
-        #[derive(Clone)]
-        struct Acc {
-            chip_failures: usize,
-            per_patch: Vec<usize>,
-            struck: usize,
-        }
-        let next_stream = std::sync::atomic::AtomicU64::new(0);
-        let acc = crate::run_shots_fold_auto(
-            shots,
-            Acc {
-                chip_failures: 0,
-                per_patch: vec![0; self.num_patches()],
-                struck: 0,
-            },
-            |_, _, acc: &mut Acc| {
-                let stream = next_stream.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let (failures, struck) = self.run_chip_shot::<R>(strategy, base_seed, stream);
-                if failures.iter().any(|&f| f) {
-                    acc.chip_failures += 1;
-                }
-                for (slot, &failed) in acc.per_patch.iter_mut().zip(&failures) {
-                    *slot += usize::from(failed);
-                }
-                acc.struck += usize::from(struck);
-            },
-            |mut a, b| {
-                a.chip_failures += b.chip_failures;
-                for (x, y) in a.per_patch.iter_mut().zip(b.per_patch) {
-                    *x += y;
-                }
-                a.struck += b.struck;
-                a
-            },
-        );
-        ChipEstimate {
-            shots,
-            chip_failures: acc.chip_failures,
-            per_patch_failures: acc.per_patch,
-            struck_shots: acc.struck,
-            rounds: self.config.patch.effective_rounds(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -349,15 +250,43 @@ mod tests {
     use q3de_lattice::Coord;
     use rand_chacha::ChaCha8Rng;
 
+    /// Counts of a sequential replay of chip streams `0..shots`.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Tally {
+        chip_failures: usize,
+        per_patch_failures: Vec<usize>,
+        struck_shots: usize,
+    }
+
+    fn tally(
+        chip: &ChipMemoryExperiment,
+        shots: usize,
+        strategy: DecodingStrategy,
+        base_seed: u64,
+    ) -> Tally {
+        let mut tally = Tally {
+            chip_failures: 0,
+            per_patch_failures: vec![0; chip.num_patches()],
+            struck_shots: 0,
+        };
+        for stream in 0..shots as u64 {
+            let (failures, struck) = chip.run_chip_shot::<ChaCha8Rng>(strategy, base_seed, stream);
+            tally.chip_failures += usize::from(failures.iter().any(|&f| f));
+            for (slot, &failed) in tally.per_patch_failures.iter_mut().zip(&failures) {
+                *slot += usize::from(failed);
+            }
+            tally.struck_shots += usize::from(struck);
+        }
+        tally
+    }
+
     #[test]
     fn quiet_chip_matches_independent_single_patch_runs_exactly() {
         let patch = MemoryExperimentConfig::new(3, 2e-2);
         let chip = ChipMemoryExperiment::new(ChipMemoryExperimentConfig::new(2, 2, patch)).unwrap();
         let shots = 40usize;
         let base_seed = 0xC41Fu64;
-        let estimate =
-            chip.estimate_parallel::<ChaCha8Rng>(shots, DecodingStrategy::MbbeFree, base_seed);
-        assert_eq!(estimate.shots, shots);
+        let estimate = tally(&chip, shots, DecodingStrategy::MbbeFree, base_seed);
         assert_eq!(estimate.struck_shots, 0);
 
         // Replay every patch as an independent single-patch experiment on
@@ -378,9 +307,10 @@ mod tests {
                 "patch {patch_i}"
             );
         }
-        // The chip fails whenever any patch fails, so the chip rate bounds
-        // every per-patch rate.
-        assert!(estimate.chip_failure_rate() >= estimate.max_patch_rate());
+        // The chip fails whenever any patch fails, so the chip count bounds
+        // every per-patch count.
+        let worst_patch = estimate.per_patch_failures.iter().copied().max().unwrap();
+        assert!(estimate.chip_failures >= worst_patch);
     }
 
     #[test]
@@ -397,18 +327,18 @@ mod tests {
             vec![PatchIndex::new(0, 0), PatchIndex::new(0, 1)]
         );
         let shots = 60;
-        let blind = chip.estimate_parallel::<ChaCha8Rng>(shots, DecodingStrategy::Blind, 3);
-        let free = chip.estimate_parallel::<ChaCha8Rng>(shots, DecodingStrategy::MbbeFree, 3);
+        let blind = tally(&chip, shots, DecodingStrategy::Blind, 3);
+        let free = tally(&chip, shots, DecodingStrategy::MbbeFree, 3);
         assert_eq!(blind.struck_shots, shots);
         // struck_shots reports the policy, not the strategy: MbbeFree shots
         // are struck too, they just decode as if the regions were absent.
         assert_eq!(free.struck_shots, shots);
         assert!(
-            blind.chip_failure_rate() > free.chip_failure_rate(),
-            "a straddling burst must raise the chip failure rate \
-             (blind {} vs free {})",
-            blind.chip_failure_rate(),
-            free.chip_failure_rate()
+            blind.chip_failures > free.chip_failures,
+            "a straddling burst must raise the chip failure count \
+             (blind {} vs free {} of {shots})",
+            blind.chip_failures,
+            free.chip_failures
         );
         // Both struck patches individually degrade relative to their
         // strike-free selves.
@@ -432,16 +362,15 @@ mod tests {
                 rate: 0.5,
             });
         let chip = ChipMemoryExperiment::new(config).unwrap();
-        let estimate = chip.estimate_parallel::<ChaCha8Rng>(200, DecodingStrategy::Blind, 11);
+        let estimate = tally(&chip, 200, DecodingStrategy::Blind, 11);
         // Binomial(200, 0.5): 3σ ≈ 21.
         assert!(
             (estimate.struck_shots as i64 - 100).abs() < 25,
             "struck {} of 200 shots",
             estimate.struck_shots
         );
-        // Determinism: same seed, same estimate.
-        let again = chip.estimate_parallel::<ChaCha8Rng>(200, DecodingStrategy::Blind, 11);
-        assert_eq!(estimate, again);
+        // Determinism: same seed, same tally.
+        assert_eq!(estimate, tally(&chip, 200, DecodingStrategy::Blind, 11));
     }
 
     #[test]
@@ -450,28 +379,5 @@ mod tests {
         let patch =
             MemoryExperimentConfig::new(3, 1e-3).with_anomaly(AnomalyInjection::centered(1, 0.5));
         assert!(ChipMemoryExperiment::new(ChipMemoryExperimentConfig::new(1, 1, patch)).is_err());
-    }
-
-    #[test]
-    fn estimate_accessors_are_consistent() {
-        let est = ChipEstimate {
-            shots: 100,
-            chip_failures: 20,
-            per_patch_failures: vec![5, 15, 0, 10],
-            struck_shots: 30,
-            rounds: 5,
-        };
-        assert!((est.chip_failure_rate() - 0.2).abs() < 1e-12);
-        assert_eq!(est.per_patch_rates(), vec![0.05, 0.15, 0.0, 0.10]);
-        assert!((est.max_patch_rate() - 0.15).abs() < 1e-12);
-        let empty = ChipEstimate {
-            shots: 0,
-            chip_failures: 0,
-            per_patch_failures: vec![0, 0],
-            struck_shots: 0,
-            rounds: 5,
-        };
-        assert_eq!(empty.chip_failure_rate(), 0.0);
-        assert_eq!(empty.max_patch_rate(), 0.0);
     }
 }

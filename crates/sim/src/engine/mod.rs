@@ -215,8 +215,8 @@ impl SweepPoint {
 
     /// A point whose shots run a single-patch memory experiment: stream
     /// `s` replays [`MemoryExperiment::run_stream`]`(strategy, base_seed, s)`
-    /// with an RNG of type `R`, exactly like
-    /// [`MemoryExperiment::estimate_parallel`].
+    /// with an RNG of type `R`, so a sweep of `n` shots counts exactly the
+    /// failures of a sequential replay of streams `0..n`.
     ///
     /// # Errors
     ///
@@ -243,7 +243,7 @@ impl SweepPoint {
     /// `g · 64 .. g · 64 + 64` in one pass of bitwise sampling, packed
     /// parity extraction and quiet-lane-skipping decode.
     ///
-    /// Equivalent to [`MemoryExperiment::estimate_packed`] over the same
+    /// Equivalent to [`crate::PackedShotBatch::estimate`] over the same
     /// `(base_seed, shots)`; **not** stream-compatible with
     /// [`SweepPoint::from_memory`] (the packed path has its own group-level
     /// RNG discipline — see [`crate::PackedShotBatch`]).
@@ -269,8 +269,8 @@ impl SweepPoint {
 
     /// A point whose shots run a chip-level memory experiment: stream `s`
     /// replays [`ChipMemoryExperiment::run_chip_shot`] and fails when any
-    /// patch fails, exactly like
-    /// [`ChipMemoryExperiment::estimate_parallel`].
+    /// patch fails, so a sweep of `n` shots counts exactly the chip failures
+    /// of a sequential replay of streams `0..n`.
     ///
     /// # Errors
     ///
@@ -1325,12 +1325,17 @@ mod tests {
     }
 
     #[test]
-    fn memory_point_matches_estimate_parallel() {
+    fn memory_point_matches_sequential_replay() {
         use rand_chacha::ChaCha8Rng;
         let config = MemoryExperimentConfig::new(3, 2e-2);
         let experiment = MemoryExperiment::new(config).unwrap();
-        let expected =
-            experiment.estimate_parallel::<ChaCha8Rng>(96, DecodingStrategy::MbbeFree, 0xBEEF);
+        let expected = (0..96u64)
+            .filter(|&s| {
+                experiment
+                    .run_stream::<ChaCha8Rng>(DecodingStrategy::MbbeFree, 0xBEEF, s)
+                    .logical_failure
+            })
+            .count();
         let report = SweepRunner::new(SweepConfig::fixed(96))
             .run(vec![SweepPoint::from_memory::<ChaCha8Rng>(
                 "mem",
@@ -1340,17 +1345,18 @@ mod tests {
             )
             .unwrap()])
             .unwrap();
-        assert_eq!(report.point("mem").unwrap().failures, expected.failures);
+        assert_eq!(report.point("mem").unwrap().failures, expected);
     }
 
     #[test]
-    fn packed_memory_point_matches_estimate_packed() {
+    fn packed_memory_point_matches_batch_estimate() {
         use rand_chacha::ChaCha8Rng;
         let config = MemoryExperimentConfig::new(3, 2e-2);
         let experiment = MemoryExperiment::new(config).unwrap();
         // a shot count straddling a group boundary exercises tail masking
-        let expected =
-            experiment.estimate_packed::<ChaCha8Rng>(150, DecodingStrategy::MbbeFree, 0xBEEF);
+        let expected = experiment
+            .packed::<ChaCha8Rng>(DecodingStrategy::MbbeFree, 0xBEEF)
+            .estimate(150);
         let report = SweepRunner::new(SweepConfig::fixed(150))
             .run(vec![SweepPoint::from_memory_packed::<ChaCha8Rng>(
                 "mem_packed",
@@ -1411,12 +1417,17 @@ mod tests {
     }
 
     #[test]
-    fn chip_point_matches_estimate_parallel() {
+    fn chip_point_matches_sequential_replay() {
         use rand_chacha::ChaCha8Rng;
         let config = ChipMemoryExperimentConfig::new(2, 2, MemoryExperimentConfig::new(3, 2e-2));
         let experiment = ChipMemoryExperiment::new(config).unwrap();
-        let expected =
-            experiment.estimate_parallel::<ChaCha8Rng>(48, DecodingStrategy::MbbeFree, 0xC41F);
+        let expected = (0..48u64)
+            .filter(|&s| {
+                let (failures, _struck) =
+                    experiment.run_chip_shot::<ChaCha8Rng>(DecodingStrategy::MbbeFree, 0xC41F, s);
+                failures.iter().any(|&failed| failed)
+            })
+            .count();
         let report = SweepRunner::new(SweepConfig::fixed(48))
             .run(vec![SweepPoint::from_chip::<ChaCha8Rng>(
                 "chip",
@@ -1426,10 +1437,7 @@ mod tests {
             )
             .unwrap()])
             .unwrap();
-        assert_eq!(
-            report.point("chip").unwrap().failures,
-            expected.chip_failures
-        );
+        assert_eq!(report.point("chip").unwrap().failures, expected);
     }
 
     #[test]

@@ -46,12 +46,10 @@ mod chip;
 mod detection_experiment;
 mod memory;
 mod packed;
-mod parallel;
 mod stream;
 
 pub use chip::{
-    chip_patch_seed, ChipEstimate, ChipMemoryExperiment, ChipMemoryExperimentConfig,
-    ChipStrikePolicy,
+    chip_patch_seed, ChipMemoryExperiment, ChipMemoryExperimentConfig, ChipStrikePolicy,
 };
 pub use detection_experiment::{DetectionExperiment, DetectionExperimentConfig, DetectionTrial};
 pub use engine::{
@@ -59,11 +57,8 @@ pub use engine::{
     SweepReport, SweepRunner,
 };
 pub use memory::{
-    AnomalyInjection, DecodingStrategy, EstimateResult, MemoryExperiment, MemoryExperimentConfig,
-    ShotOutcome,
+    shot_stream_seed, AnomalyInjection, DecodingStrategy, EstimateResult, MemoryExperiment,
+    MemoryExperimentConfig, ShotOutcome,
 };
 pub use packed::PackedShotBatch;
-pub use parallel::{
-    run_shots_auto, run_shots_fold, run_shots_fold_auto, run_shots_parallel, shot_stream_seed,
-};
 pub use stream::{StreamWindow, WindowSource};

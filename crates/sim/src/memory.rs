@@ -147,23 +147,18 @@ impl EstimateResult {
         let p = self.logical_error_rate();
         (p * (1.0 - p) / self.shots as f64).sqrt()
     }
+}
 
-    /// Merges two estimates taken with the same configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two estimates used a different number of rounds.
-    pub fn merge(&self, other: &EstimateResult) -> EstimateResult {
-        assert_eq!(
-            self.rounds, other.rounds,
-            "cannot merge estimates with different rounds"
-        );
-        EstimateResult {
-            shots: self.shots + other.shots,
-            failures: self.failures + other.failures,
-            rounds: self.rounds,
-        }
-    }
+/// Derives the RNG seed of global shot stream `stream` from a sweep-level
+/// `base_seed` (golden-ratio mixing).
+///
+/// This is *the* seed schedule of the whole stack:
+/// [`MemoryExperiment::run_stream`], the chip experiment's per-patch
+/// streams, the packed batch's group streams and therefore every sweep
+/// point, checkpoint and shard plan derive per-shot RNGs through it, so a
+/// `(base_seed, stream)` pair identifies the same shot everywhere.
+pub fn shot_stream_seed(base_seed: u64, stream: u64) -> u64 {
+    base_seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// A reusable memory-experiment simulator for one parameter point.
@@ -419,14 +414,14 @@ impl MemoryExperiment {
     }
 
     /// Runs the shot of global stream index `stream`: a fresh RNG of type
-    /// `R` is seeded from [`crate::shot_stream_seed`]`(base_seed, stream)`
-    /// and handed to [`MemoryExperiment::run_shot`].
+    /// `R` is seeded from [`shot_stream_seed`]`(base_seed, stream)` and
+    /// handed to [`MemoryExperiment::run_shot`].
     ///
-    /// This is the kernel behind [`MemoryExperiment::estimate_parallel`] and
-    /// the sweep engine's [`SweepPoint::from_memory`](crate::engine::SweepPoint::from_memory):
-    /// any runner that executes the stream set `0..shots` — sequentially, on
-    /// a thread pool, or adaptively batch by batch — reproduces the same
-    /// failure count.
+    /// This is the kernel behind the sweep engine's
+    /// [`SweepPoint::from_memory`](crate::engine::SweepPoint::from_memory):
+    /// the stream set `0..shots` defines the estimate, so a sequential
+    /// replay of it and any sweep run — on any thread count, shard plan or
+    /// adaptive batch schedule — reproduce the same failure count.
     pub fn run_stream<R>(
         &self,
         strategy: DecodingStrategy,
@@ -436,36 +431,8 @@ impl MemoryExperiment {
     where
         R: Rng + SeedableRng,
     {
-        let mut rng = R::seed_from_u64(crate::shot_stream_seed(base_seed, stream));
+        let mut rng = R::seed_from_u64(shot_stream_seed(base_seed, stream));
         self.run_shot(strategy, &mut rng)
-    }
-
-    /// Monte-Carlo estimate over all available cores
-    /// ([`crate::run_shots_auto`]).  Each shot draws from its own RNG of
-    /// type `R`, seeded from `base_seed` and a globally unique stream index:
-    /// which *thread* executes a given stream varies with the worker-pool
-    /// size, but the *set* of streams is always `0..shots`, so the failure
-    /// count is reproducible across machines with any core count.
-    pub fn estimate_parallel<R>(
-        &self,
-        shots: usize,
-        strategy: DecodingStrategy,
-        base_seed: u64,
-    ) -> EstimateResult
-    where
-        R: Rng + SeedableRng,
-    {
-        let next_stream = std::sync::atomic::AtomicU64::new(0);
-        let failures = crate::run_shots_auto(shots, |_, _| {
-            let stream = next_stream.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.run_stream::<R>(strategy, base_seed, stream)
-                .logical_failure
-        });
-        EstimateResult {
-            shots,
-            failures,
-            rounds: self.config.effective_rounds(),
-        }
     }
 
     /// Builds the bit-packed batch kernel for this experiment: 64 shots per
@@ -478,28 +445,6 @@ impl MemoryExperiment {
         R: Rng + SeedableRng,
     {
         crate::PackedShotBatch::new(self.clone(), strategy, base_seed)
-    }
-
-    /// Monte-Carlo estimate through the packed batch kernel — the
-    /// high-throughput counterpart of [`MemoryExperiment::estimate_parallel`].
-    ///
-    /// The packed path samples whole 64-lane groups from per-group RNG
-    /// streams, so for a given `(base_seed, shots)` it is deterministic and
-    /// machine-independent, but its failure set is *not* the per-shot
-    /// stream set of the scalar path — pin packed against scalar with
-    /// [`crate::PackedShotBatch::replay_lane_scalar`], which replays the
-    /// packed noise realizations through the scalar decode machinery.
-    pub fn estimate_packed<R>(
-        &self,
-        shots: usize,
-        strategy: DecodingStrategy,
-        base_seed: u64,
-    ) -> EstimateResult
-    where
-        R: Rng + SeedableRng,
-    {
-        self.packed::<R>(strategy, base_seed)
-            .estimate_parallel(shots)
     }
 }
 
@@ -588,39 +533,26 @@ mod tests {
     }
 
     #[test]
-    fn estimate_merge_and_errors() {
-        let a = EstimateResult {
-            shots: 100,
-            failures: 10,
+    fn estimate_rates_and_standard_error() {
+        let est = EstimateResult {
+            shots: 400,
+            failures: 30,
             rounds: 5,
         };
-        let b = EstimateResult {
-            shots: 300,
-            failures: 20,
-            rounds: 5,
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.shots, 400);
-        assert_eq!(m.failures, 30);
-        assert!((m.logical_error_rate() - 0.075).abs() < 1e-12);
-        assert!(m.standard_error() > 0.0 && m.standard_error() < 0.05);
-        assert!(m.logical_error_rate_per_cycle() < m.logical_error_rate());
-    }
-
-    #[test]
-    #[should_panic(expected = "different rounds")]
-    fn merging_incompatible_estimates_panics() {
-        let a = EstimateResult {
-            shots: 1,
+        assert!((est.logical_error_rate() - 0.075).abs() < 1e-12);
+        // sqrt(0.075 · 0.925 / 400)
+        assert!((est.standard_error() - 0.013_169_57).abs() < 1e-7);
+        assert!(est.standard_error() > 0.0 && est.standard_error() < 0.05);
+        // 1 − 0.925^(1/5), the per-cycle rate Eq. (1) reads
+        assert!((est.logical_error_rate_per_cycle() - 0.015_471_38).abs() < 1e-7);
+        assert!(est.logical_error_rate_per_cycle() < est.logical_error_rate());
+        let empty = EstimateResult {
+            shots: 0,
             failures: 0,
             rounds: 5,
         };
-        let b = EstimateResult {
-            shots: 1,
-            failures: 0,
-            rounds: 7,
-        };
-        let _ = a.merge(&b);
+        assert_eq!(empty.logical_error_rate(), 0.0);
+        assert_eq!(empty.standard_error(), 0.0);
     }
 
     #[test]
@@ -693,36 +625,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_estimate_is_deterministic_and_counts_all_shots() {
-        let exp = MemoryExperiment::new(MemoryExperimentConfig::new(3, 2e-2)).unwrap();
-        let a = exp.estimate_parallel::<ChaCha8Rng>(100, DecodingStrategy::MbbeFree, 7);
-        let b = exp.estimate_parallel::<ChaCha8Rng>(100, DecodingStrategy::MbbeFree, 7);
-        assert_eq!(a, b, "same seed must reproduce the same estimate");
-        assert_eq!(a.shots, 100);
-        assert_eq!(a.rounds, 3);
-        let c = exp.estimate_parallel::<ChaCha8Rng>(100, DecodingStrategy::MbbeFree, 8);
-        assert_eq!(c.shots, 100);
-    }
+    fn stream_seed_schedule_is_pinned() {
+        // Every checkpoint, shard plan and stored benchmark reference names
+        // shots by (base_seed, stream) through this formula: changing it
+        // silently changes every published number.
+        assert_eq!(shot_stream_seed(0, 0), 0);
+        assert_eq!(shot_stream_seed(0, 1), 0x9E37_79B9_7F4A_7C15);
+        assert_eq!(shot_stream_seed(0xC0DE, 2), 0x3C6E_F372_FE94_38F4);
+        assert_eq!(shot_stream_seed(7, 1 << 63), 0x8000_0000_0000_0007);
+        assert_eq!(shot_stream_seed(u64::MAX, 1), 0x61C8_8646_80B5_83EA);
 
-    #[test]
-    fn parallel_estimate_is_machine_independent() {
-        // The parallel estimate seeds shots from a global stream counter, so
-        // it must match a sequential replay of streams 0..shots regardless
-        // of how many worker threads the machine provides.
+        // run_stream(s) is run_shot on a ChaCha8 stream seeded by it.
         let exp = MemoryExperiment::new(MemoryExperimentConfig::new(3, 2e-2)).unwrap();
         let base_seed = 0xC0DEu64;
-        let parallel =
-            exp.estimate_parallel::<ChaCha8Rng>(80, DecodingStrategy::MbbeFree, base_seed);
-        let sequential = (0..80u64)
-            .filter(|&stream| {
-                let mut rng = ChaCha8Rng::seed_from_u64(
-                    base_seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                exp.run_shot(DecodingStrategy::MbbeFree, &mut rng)
-                    .logical_failure
-            })
-            .count();
-        assert_eq!(parallel.failures, sequential);
+        let mut failures = 0;
+        for stream in 0..80u64 {
+            let mut rng =
+                ChaCha8Rng::seed_from_u64(base_seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let expected = exp.run_shot(DecodingStrategy::MbbeFree, &mut rng);
+            let outcome =
+                exp.run_stream::<ChaCha8Rng>(DecodingStrategy::MbbeFree, base_seed, stream);
+            assert_eq!(outcome, expected, "stream {stream}");
+            failures += usize::from(outcome.logical_failure);
+        }
+        assert!(failures > 0, "the replay must cover a failing stream");
     }
 
     #[test]

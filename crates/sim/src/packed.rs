@@ -101,11 +101,12 @@ type VerdictMemo = HashMap<Box<[u64]>, bool, BuildHasherDefault<MemoHasher>>;
 /// per-qubit flip probability of every `(round, qubit)` pair becomes a
 /// [`PackedBernoulli`], and the decoder weight model is fixed for the
 /// batch.  [`PackedShotBatch::run_group`] then produces the 64-lane
-/// failure mask of group `g`; [`PackedShotBatch::estimate`] and
-/// [`PackedShotBatch::estimate_parallel`] fold masks over
-/// `0..ceil(shots / 64)` groups, masking off the lanes past `shots` in the
-/// tail group (the tail group always *samples* all 64 lanes, so a lane's
-/// outcome never depends on the requested shot count).
+/// failure mask of group `g`; [`PackedShotBatch::estimate`] folds masks
+/// over `0..ceil(shots / 64)` groups, masking off the lanes past `shots` in
+/// the tail group (the tail group always *samples* all 64 lanes, so a
+/// lane's outcome never depends on the requested shot count).  Sweeps run
+/// the batch on the engine through
+/// [`SweepPoint::from_memory_packed`](crate::engine::SweepPoint::from_memory_packed).
 pub struct PackedShotBatch<R> {
     experiment: MemoryExperiment,
     base_seed: u64,
@@ -343,29 +344,6 @@ where
         }
     }
 
-    /// Parallel Monte-Carlo estimate over `shots` shots.  Groups are dealt
-    /// to workers through a global counter, so the failure count is
-    /// identical to [`PackedShotBatch::estimate`] for any thread count.
-    pub fn estimate_parallel(&self, shots: usize) -> EstimateResult {
-        let groups = shots.div_ceil(64);
-        let next_group = std::sync::atomic::AtomicU64::new(0);
-        let failures = crate::run_shots_fold_auto(
-            groups,
-            0usize,
-            |_, _, acc| {
-                let group = next_group.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                *acc +=
-                    (self.run_group(group) & Self::valid_mask(shots, group)).count_ones() as usize;
-            },
-            |a, b| a + b,
-        );
-        EstimateResult {
-            shots,
-            failures,
-            rounds: self.rounds,
-        }
-    }
-
     /// Replays packed shot `stream` (lane `stream % 64` of group
     /// `stream / 64`) through the **scalar** decode machinery: the lane's
     /// packed-sampled syndrome stream is unpacked into a
@@ -443,10 +421,27 @@ mod tests {
 
     #[test]
     fn estimates_are_deterministic_and_thread_independent() {
+        use crate::engine::{SweepConfig, SweepPoint, SweepRunner};
         let config = MemoryExperimentConfig::new(3, 2e-2);
         let a = batch(config, DecodingStrategy::MbbeFree, 7).estimate(200);
-        let b = batch(config, DecodingStrategy::MbbeFree, 7).estimate_parallel(200);
-        assert_eq!(a, b, "sequential and parallel must agree");
+        assert_eq!(
+            a,
+            batch(config, DecodingStrategy::MbbeFree, 7).estimate(200)
+        );
+        for threads in [1, 3] {
+            let report = SweepRunner::new(SweepConfig::fixed(200).with_threads(threads))
+                .run(vec![SweepPoint::new_packed(
+                    "p",
+                    batch(config, DecodingStrategy::MbbeFree, 7),
+                )])
+                .unwrap();
+            let point = report.point("p").unwrap();
+            assert_eq!(
+                (point.shots, point.failures),
+                (a.shots, a.failures),
+                "sequential and {threads}-thread sweep must agree"
+            );
+        }
         let c = batch(config, DecodingStrategy::MbbeFree, 8).estimate(200);
         assert_eq!(c.shots, 200);
     }

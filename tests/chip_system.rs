@@ -71,10 +71,18 @@ fn quiet_chip_per_patch_rates_match_independent_single_patch_runs() {
         .expect("valid chip");
     let shots = 50usize;
     let base_seed = 0x51D5u64;
-    let estimate =
-        chip.estimate_parallel::<ChaCha8Rng>(shots, DecodingStrategy::MbbeFree, base_seed);
-    assert_eq!(estimate.shots, shots);
-    assert_eq!(estimate.struck_shots, 0);
+    // Tally per-patch failures and struck shots over streams 0..shots.
+    let mut per_patch_failures = vec![0usize; chip.num_patches()];
+    let mut struck_shots = 0usize;
+    for stream in 0..shots as u64 {
+        let (failures, struck) =
+            chip.run_chip_shot::<ChaCha8Rng>(DecodingStrategy::MbbeFree, base_seed, stream);
+        for (slot, &failed) in per_patch_failures.iter_mut().zip(&failures) {
+            *slot += usize::from(failed);
+        }
+        struck_shots += usize::from(struck);
+    }
+    assert_eq!(struck_shots, 0);
 
     // Exact criterion: each patch of the chip run is byte-for-byte the same
     // Monte-Carlo experiment as an independent single-patch run replaying
@@ -82,7 +90,7 @@ fn quiet_chip_per_patch_rates_match_independent_single_patch_runs() {
     // statistically.
     let single = MemoryExperiment::new(patch).expect("valid patch");
     let mut any_failures = 0usize;
-    for patch_i in 0..chip.num_patches() {
+    for (patch_i, &chip_run_failures) in per_patch_failures.iter().enumerate() {
         let failures = (0..shots as u64)
             .filter(|&stream| {
                 let mut rng =
@@ -93,7 +101,7 @@ fn quiet_chip_per_patch_rates_match_independent_single_patch_runs() {
             })
             .count();
         assert_eq!(
-            estimate.per_patch_failures[patch_i], failures,
+            chip_run_failures, failures,
             "patch {patch_i}: chip-run failures diverge from the independent run"
         );
         any_failures += failures;

@@ -11,7 +11,8 @@
 //! not multiples of 64 (tail-group lane masking).
 
 use q3de::sim::{
-    AnomalyInjection, DecodingStrategy, MemoryExperiment, MemoryExperimentConfig, PackedShotBatch,
+    AnomalyInjection, DecodingStrategy, EstimateResult, MemoryExperiment, MemoryExperimentConfig,
+    PackedShotBatch, SweepConfig, SweepPoint, SweepRunner,
 };
 use rand_chacha::ChaCha8Rng;
 
@@ -23,8 +24,9 @@ const STRATEGIES: [DecodingStrategy; 3] = [
 
 /// Packed-vs-scalar comparison for one configuration: every lane's packed
 /// failure bit must equal the scalar replay of the same noise realization,
-/// and the aggregate estimates (sequential and parallel) must count exactly
-/// those failures.
+/// and the aggregate estimates (the sequential batch estimate and a
+/// multi-threaded sweep of the same batch) must count exactly those
+/// failures.
 fn assert_packed_matches_scalar_replay(
     config: MemoryExperimentConfig,
     strategy: DecodingStrategy,
@@ -59,10 +61,14 @@ fn assert_packed_matches_scalar_replay(
         config.distance
     );
     assert_eq!(sequential.shots, shots);
-    let parallel = packed.estimate_parallel(shots);
+    let report = SweepRunner::new(SweepConfig::fixed(shots).with_threads(3))
+        .run(vec![SweepPoint::new_packed("packed", packed)])
+        .expect("in-memory sweep");
+    let swept = report.point("packed").expect("point ran");
     assert_eq!(
-        sequential, parallel,
-        "d={} strategy={strategy:?}: sequential and parallel estimates diverge",
+        (swept.shots, swept.failures),
+        (sequential.shots, sequential.failures),
+        "d={} strategy={strategy:?}: sequential and swept estimates diverge",
         config.distance
     );
 }
@@ -98,22 +104,6 @@ fn packed_matches_scalar_under_burst_noise_all_strategies() {
 }
 
 #[test]
-fn packed_estimate_entry_points_agree() {
-    // The MemoryExperiment convenience wrapper and a hand-built batch must
-    // produce the same numbers for the same (base_seed, shots).
-    let config =
-        MemoryExperimentConfig::new(5, 1e-2).with_anomaly(AnomalyInjection::mcewen_default());
-    let experiment = MemoryExperiment::new(config).unwrap();
-    for strategy in STRATEGIES {
-        let wrapper = experiment.estimate_packed::<ChaCha8Rng>(150, strategy, 42);
-        let manual = experiment.packed::<ChaCha8Rng>(strategy, 42).estimate(150);
-        assert_eq!(wrapper, manual, "{strategy:?}");
-        assert_eq!(wrapper.shots, 150);
-        assert_eq!(wrapper.rounds, 5);
-    }
-}
-
-#[test]
 fn packed_failure_rates_track_the_scalar_path_statistically() {
     // The packed path uses its own RNG discipline, so counts are not
     // shot-for-shot equal to the scalar stream set — but over enough shots
@@ -121,8 +111,25 @@ fn packed_failure_rates_track_the_scalar_path_statistically() {
     let config = MemoryExperimentConfig::new(3, 2e-2);
     let experiment = MemoryExperiment::new(config).unwrap();
     let shots = 8000;
-    let packed = experiment.estimate_packed::<ChaCha8Rng>(shots, DecodingStrategy::MbbeFree, 7);
-    let scalar = experiment.estimate_parallel::<ChaCha8Rng>(shots, DecodingStrategy::MbbeFree, 7);
+    let packed = experiment
+        .packed::<ChaCha8Rng>(DecodingStrategy::MbbeFree, 7)
+        .estimate(shots);
+    // The scalar side is streams 0..shots at base seed 7 on the sweep engine.
+    let report = SweepRunner::new(SweepConfig::fixed(shots))
+        .run(vec![SweepPoint::from_memory::<ChaCha8Rng>(
+            "scalar",
+            config,
+            DecodingStrategy::MbbeFree,
+            7,
+        )
+        .expect("valid distance")])
+        .expect("in-memory sweep");
+    let point = report.point("scalar").expect("point ran");
+    let scalar = EstimateResult {
+        shots: point.shots,
+        failures: point.failures,
+        rounds: config.effective_rounds(),
+    };
     let sigma = (packed.standard_error().powi(2) + scalar.standard_error().powi(2)).sqrt();
     let delta = (packed.logical_error_rate() - scalar.logical_error_rate()).abs();
     assert!(
