@@ -13,8 +13,9 @@
 //!
 //! The per-cell service reports are also serialized through
 //! [`ServiceReport::to_json`] and re-parsed with the engine's JSON parser
-//! as a self-check (finite p999, completed counts) — the CI smoke job
-//! relies on the binary exiting non-zero when that validation fails.
+//! as a self-check (schema version, one entry per tenant, finite p999,
+//! completed counts) — the CI smoke job relies on the binary exiting
+//! non-zero when that validation fails.
 //!
 //! Run with `--help` for the flag set (`--samples` is windows per tenant;
 //! `--workers` and `--slo-us` shape the shard under test).
@@ -70,36 +71,35 @@ fn run_cell(
     server.finish()
 }
 
-/// Validates a cell report through the engine JSON parser; exits non-zero
-/// on any inconsistency so CI catches schema rot.
-fn validate(report: &ServiceReport, windows: u64) {
-    let doc = match JsonValue::parse(&report.to_json()) {
-        Ok(doc) => doc,
-        Err(error) => {
-            eprintln!("service report is not valid JSON: {error}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(error) = check_schema_version(&doc, SERVICE_SCHEMA_VERSION, "service report") {
-        eprintln!("service report failed validation: {error}");
-        std::process::exit(1);
-    }
-    let tenants = doc
+/// Validates a cell report through the engine JSON parser: the schema
+/// version, one entry per each of the cell's `tenants`, and per tenant a
+/// finite p999 and all `windows` completed.  `main` exits non-zero on an
+/// error so CI catches schema rot.
+fn validate(report: &ServiceReport, tenants: usize, windows: u64) -> Result<(), String> {
+    let doc =
+        JsonValue::parse(&report.to_json()).map_err(|error| format!("not valid JSON: {error}"))?;
+    check_schema_version(&doc, SERVICE_SCHEMA_VERSION, "service report")?;
+    let entries = doc
         .get("service")
         .and_then(|s| s.get("tenants"))
         .and_then(JsonValue::as_array)
-        .unwrap_or(&[]);
-    for tenant in tenants {
+        .ok_or("no tenants array")?;
+    if entries.len() != tenants {
+        return Err(format!(
+            "{} tenant entries, expected {tenants}",
+            entries.len()
+        ));
+    }
+    for tenant in entries {
         let p999 = tenant.get("p999_ns").and_then(JsonValue::as_f64);
         let completed = tenant.get("completed").and_then(JsonValue::as_usize);
         if !p999.is_some_and(f64::is_finite) || completed != Some(windows as usize) {
-            eprintln!(
-                "service report failed validation: p999={p999:?} completed={completed:?} \
-                 (expected {windows} windows)"
-            );
-            std::process::exit(1);
+            return Err(format!(
+                "p999={p999:?} completed={completed:?} (expected {windows} windows)"
+            ));
         }
     }
+    Ok(())
 }
 
 fn main() {
@@ -155,7 +155,10 @@ fn main() {
         for &tenants in &tenant_counts {
             let base_seed = args.stream_seed((si * 1000 + tenants) as u64);
             let report = run_cell(workers, decoder, tenants, strike_rate, windows, base_seed);
-            validate(&report, windows);
+            if let Err(error) = validate(&report, tenants, windows) {
+                eprintln!("service report failed validation: {error}");
+                std::process::exit(1);
+            }
             let worst_p99 = report.tenants.iter().map(|t| t.p99_ns).max().unwrap_or(0);
             let worst_p999 = report.tenants.iter().map(|t| t.p999_ns).max().unwrap_or(0);
             let median_p50 = report.tenants.iter().map(|t| t.p50_ns).max().unwrap_or(0);
@@ -217,4 +220,21 @@ fn main() {
          (rollback windows cost two passes); graph builds stay flat in the window count \
          because the shard's context pool keeps one warm graph per structure.",
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn validate_requires_one_healthy_entry_per_tenant() {
+        let windows = 4;
+        let mut report = run_cell(1, DecoderConfig::default(), 2, 0.5, windows, 7);
+        assert_eq!(validate(&report, 2, windows), Ok(()));
+        assert!(validate(&report, 2, windows + 1).is_err());
+        report.tenants.pop();
+        assert!(validate(&report, 2, windows).is_err());
+        report.tenants.clear();
+        assert!(validate(&report, 2, windows).is_err());
+    }
 }

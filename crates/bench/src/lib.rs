@@ -1,10 +1,10 @@
 //! Shared helpers for the Q3DE benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation has a corresponding
-//! binary in `src/bin/` (which prints the rows/series the paper reports) and
-//! a Criterion bench in `benches/` (which measures the runtime of the
-//! underlying kernel at a reduced scale).  See `EXPERIMENTS.md` at the
-//! workspace root for the mapping and recorded results.
+//! binary in `src/bin/` that prints the rows/series the paper reports; the
+//! README's figure map lists them.  Decoder timing lives in the
+//! `perf_smoke` binary (the CI regression gate) and in the separate
+//! `perfbench` package (the repository benchmark).
 //!
 //! All experiment binaries share one command-line front end (the [`cli`]
 //! module): the engine flag set — `--samples`, `--seed`, `--matcher`,

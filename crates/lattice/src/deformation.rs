@@ -199,7 +199,7 @@ impl ExpansionPlan {
     }
 
     /// Whether the expanded distance satisfies the paper's sufficiency
-    /// criterion `d_exp ≥ d + 2·d_ano` for an anomaly of size `anomaly_size`
+    /// condition `d_exp ≥ d + 2·d_ano` for an anomaly of size `anomaly_size`
     /// (Sec. V-B).
     pub fn covers_anomaly(&self, anomaly_size: usize) -> bool {
         self.expanded.distance() >= self.original.distance() + 2 * anomaly_size

@@ -4,7 +4,7 @@
 //! A *chip shot* runs one memory shot per patch (the
 //! [`MemoryExperiment`] kernel, one independent RNG stream per patch) and
 //! fails when **any** patch suffers a logical error — the system failure
-//! criterion of the paper's Secs. V/VII evaluation.  Strikes are placed in
+//! condition of the paper's Secs. V/VII evaluation.  Strikes are placed in
 //! chip coordinates and fanned out into per-patch regions via
 //! [`ChipStrike::fan_out`], so a single burst straddling a patch boundary
 //! degrades several patches of the same shot.  Sweeps run chip shots on the

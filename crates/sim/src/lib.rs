@@ -21,7 +21,7 @@
 //! [`ChipMemoryExperiment`] lifts the memory experiment to a chip of `N`
 //! patches: strikes are placed in chip coordinates (they may straddle patch
 //! boundaries), each patch runs on its own reproducible RNG stream, and a
-//! chip shot fails when any patch fails — the system failure criterion
+//! chip shot fails when any patch fails — the system failure condition
 //! behind the `fig_system` sweep.
 //!
 //! # Example

@@ -274,10 +274,11 @@ impl MemoryExperiment {
     /// decoding.
     ///
     /// This is *the* syndrome-sampling kernel: [`MemoryExperiment::run_shot`]
-    /// decodes exactly what it returns, and the differential tests and
-    /// throughput benches sample through it too, so the RNG call order (data
-    /// qubits in edge order, then one ancilla draw per node, per round) can
-    /// never silently diverge between simulator, tests and benches.
+    /// decodes exactly what it returns, and the differential tests, the
+    /// `perf_smoke` decode kernels and the decode-service window streams
+    /// sample through it too, so the RNG call order (data qubits in edge
+    /// order, then one ancilla draw per node, per round) can never silently
+    /// diverge between simulator, tests and timing harnesses.
     pub fn sample_history<R: Rng + ?Sized>(
         &self,
         strategy: DecodingStrategy,

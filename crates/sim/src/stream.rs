@@ -29,8 +29,8 @@ use rand::{Rng, SeedableRng};
 
 /// One syndrome window of a tenant's stream, ready to submit to a decode
 /// service: the sampled layers, the regions a detector would report for
-/// it, and the ground-truth cut parity (kept so benches can tally logical
-/// failures without re-deriving them).
+/// it, and the ground-truth cut parity (kept so the service and the
+/// benchmark can tally logical failures without re-deriving them).
 #[derive(Debug, Clone)]
 pub struct StreamWindow {
     /// Stream index of the window within its tenant's stream.

@@ -84,7 +84,7 @@ fn quiet_chip_per_patch_rates_match_independent_single_patch_runs() {
     }
     assert_eq!(struck_shots, 0);
 
-    // Exact criterion: each patch of the chip run is byte-for-byte the same
+    // Exact condition: each patch of the chip run is byte-for-byte the same
     // Monte-Carlo experiment as an independent single-patch run replaying
     // the same seeds, so the failure counts must agree exactly — not just
     // statistically.

@@ -12,6 +12,7 @@ use q3de::matching::{
     Matcher, MatchingProblem, RefinedGreedyMatcher, SyndromeGraph,
 };
 use q3de::noise::AnomalousRegion;
+use q3de::sim::{AnomalyInjection, DecodingStrategy, MemoryExperiment, MemoryExperimentConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
@@ -341,6 +342,47 @@ fn every_backend_corrects_in_region_chains_under_reweighting() {
             tested > 0,
             "d={d}: the region must contain at least one chain"
         );
+    }
+}
+
+#[test]
+fn every_backend_decodes_sampled_burst_windows_beyond_d11() {
+    // One sampled burst window per distance above BACKEND_DISTANCES, decoded
+    // on its anomaly-aware graph: every backend matches every event, and
+    // none finds a lighter matching than the exact tree.  All backends
+    // price paths in the same 2^-21 weight units, so the bound is exact.
+    for d in [13usize, 15] {
+        let config =
+            MemoryExperimentConfig::new(d, 1e-2).with_anomaly(AnomalyInjection::centered(2, 0.5));
+        let experiment = MemoryExperiment::new(config).expect("valid distance");
+        let graph = experiment.code().matching_graph(ErrorKind::X);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x03DE);
+        let (history, _) = experiment.sample_history(DecodingStrategy::AnomalyAware, &mut rng);
+        let model = experiment.weight_model(DecodingStrategy::AnomalyAware);
+        let weights = MatcherKind::ALL.map(|kind| {
+            let mut decoder = DecoderContext::new(DecoderConfig::default().with_matcher(kind));
+            let outcome = decoder.decode(&graph, &history, &model);
+            assert!(
+                outcome.num_events() > 0,
+                "d={d}: the window must have events"
+            );
+            assert_eq!(
+                2 * outcome.pairs.len() + outcome.boundary_matches.len(),
+                outcome.num_events(),
+                "{kind:?} d={d}: every event must be matched exactly once"
+            );
+            (kind, outcome.total_weight)
+        });
+        let (_, tree) = weights
+            .into_iter()
+            .find(|&(kind, _)| kind == MatcherKind::Tree)
+            .expect("the tree is a backend");
+        for (kind, weight) in weights {
+            assert!(
+                tree <= weight,
+                "{kind:?} d={d}: weight {weight} is below the exact tree's {tree}"
+            );
+        }
     }
 }
 
