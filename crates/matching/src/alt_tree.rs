@@ -2096,27 +2096,27 @@ mod tests {
         defects: &[usize],
         cost: &dyn Fn(usize) -> f64,
     ) -> (f64, usize) {
-        use crate::{ExactMatcher, MatchTarget, Matcher, MatchingProblem};
         let paths: Vec<_> = defects
             .iter()
             .map(|&v| shortest_paths(g, v, cost))
             .collect();
-        let problem = MatchingProblem::from_fn(
+        let finite = |c: f64| c.is_finite().then_some(c);
+        let (total, partners) = crate::backend::min_weight_matching(
             defects.len(),
-            |a, b| paths[a].0[defects[b]].0,
-            |a| paths[a].1 .0,
+            |a, b| finite(paths[a].0[defects[b]].0),
+            |a| finite(paths[a].1 .0),
         );
-        let matching = ExactMatcher.solve(&problem);
-        let edges = matching
+        let edges = partners
             .iter()
-            .map(|(a, target)| match target {
+            .enumerate()
+            .map(|(a, partner)| match *partner {
                 // each pair is visited from both ends
-                MatchTarget::Node(b) => paths[a].0[defects[b]].1,
-                MatchTarget::Boundary => 2 * paths[a].1 .1,
+                Some(b) => paths[a].0[defects[b]].1,
+                None => 2 * paths[a].1 .1,
             })
             .sum::<usize>()
             / 2;
-        (matching.total_cost(&problem), edges)
+        (total, edges)
     }
 
     /// Distinct defect vertices, about one in `every`, at least one.

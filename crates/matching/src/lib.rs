@@ -9,73 +9,55 @@
 //! its Monte-Carlo experiments (Figs. 3 and 8) and with the QECOOL-style
 //! greedy matcher for its hardware decoder (Table IV).  Blossom V is not
 //! redistributable, so this crate provides three decoding backends
-//! ([`DecoderBackend`], selected by [`MatcherKind`]) and one test oracle:
+//! ([`DecoderBackend`], selected by [`MatcherKind`]) and one test oracle,
+//! all decoding the same sparse [`SyndromeGraph`]:
 //!
 //! * [`AltTreeBackend`] — exact minimum-weight perfect matching grown
 //!   directly on the sparse space-time graph (simultaneous alternating
 //!   trees with lazy blossoms, after Sparse Blossom).  It is the one exact
 //!   decoder and the default, and plays the role of Blossom V,
 //! * [`GreedyBackend`] — the radius-sweep greedy strategy of the paper's
-//!   hardware decoder (Sec. VI-B, [`GreedyMatcher`]) with a bounded 2-opt
-//!   repair pass ([`RefinedGreedyMatcher`]),
+//!   hardware decoder (Sec. VI-B) with a bounded 2-opt repair pass,
 //! * [`UnionFindDecoder`] — the almost-linear union-find decoder, the fast
 //!   approximate baseline,
 //! * [`ExactBackend`] — the test oracle: exact matching by bitmask dynamic
-//!   programming ([`ExactMatcher`]) on each independent cluster of up to
-//!   [`ExactMatcher::MAX_NODES`] defects, with no heuristic
-//!   fallback beyond that.
+//!   programming on each independent cluster of up to 22 defects, with no
+//!   heuristic fallback beyond that.
 //!
-//! The dense matchers implement the [`Matcher`] trait and operate on a
-//! [`MatchingProblem`], which is independent of lattice geometry: the dense
-//! backends convert syndrome data into pairwise path costs.
+//! The two dense backends ([`GreedyBackend`], [`ExactBackend`]) run Dijkstra
+//! from every defect and match on the resulting path costs, all in the
+//! graph's integer weight units ([`WEIGHT_UNIT`]).
 //!
 //! # Example
 //!
 //! ```
-//! use q3de_matching::{Matcher, MatchingProblem, ExactMatcher, MatchTarget};
+//! use q3de_matching::{DecoderBackend, ExactBackend, SyndromeGraph};
 //!
-//! // Two active nodes close to each other and far from the boundary.
-//! let mut problem = MatchingProblem::new(2);
-//! problem.set_pair_cost(0, 1, 1.0);
-//! problem.set_boundary_cost(0, 10.0);
-//! problem.set_boundary_cost(1, 10.0);
-//! let matching = ExactMatcher.solve(&problem);
-//! assert_eq!(matching.target(0), MatchTarget::Node(1));
-//! assert!((matching.total_cost(&problem) - 1.0).abs() < 1e-12);
+//! // A line of three vertices with boundary stubs at both ends: defects on
+//! // the two adjacent vertices 1 and 2 pair up instead of paying for two
+//! // boundary chains.
+//! let graph = SyndromeGraph::line(&[10.0, 1.0], 10.0);
+//! let matching = ExactBackend::default().decode_defects(&graph, &[1, 2]);
+//! assert!(matching.is_perfect(2));
+//! assert_eq!((matching.pairs[0].a, matching.pairs[0].b), (0, 1));
+//! assert!(matching.boundary.is_empty());
+//! assert_eq!(matching.total_cost(), 1.0);
 //! ```
 
 #![deny(missing_docs)]
 
 mod alt_tree;
 mod backend;
-mod exact;
-mod greedy;
-mod problem;
-mod refine;
 mod sparse;
 mod union_find;
 
 pub use alt_tree::{AltTreeBackend, AltTreeCounters};
 pub use backend::{ExactBackend, GreedyBackend};
-pub use exact::ExactMatcher;
-pub use greedy::GreedyMatcher;
-pub use problem::{MatchTarget, Matching, MatchingProblem};
-pub use refine::RefinedGreedyMatcher;
 pub use sparse::{
     DefectBoundaryMatch, DefectMatching, DefectPair, SparseEdge, SparseEdgeId, SyndromeGraph,
     MAX_EDGE_WEIGHT, WEIGHT_UNIT,
 };
 pub use union_find::UnionFindDecoder;
-
-/// A strategy for solving a [`MatchingProblem`].
-pub trait Matcher {
-    /// Produces a complete matching: every node is paired with another node
-    /// or with the boundary.
-    fn solve(&self, problem: &MatchingProblem) -> Matching;
-
-    /// A short human-readable name used in experiment reports.
-    fn name(&self) -> &'static str;
-}
 
 /// A full decoding backend: given the sparse (space-time) [`SyndromeGraph`]
 /// and the list of defect vertices, produce a perfect matching of the
@@ -84,11 +66,11 @@ pub trait Matcher {
 /// This is the seam the decoding pipeline is built around.  The
 /// [`AltTreeBackend`] grows exact matchings directly on the sparse graph;
 /// the dense backends ([`GreedyBackend`], and the [`ExactBackend`] oracle)
-/// extract pairwise defect costs with Dijkstra and hand a
-/// [`MatchingProblem`] to a [`Matcher`]; the [`UnionFindDecoder`] runs
-/// almost-linear cluster growth + peeling.  All of them consume the same
-/// re-weighted edge costs, so Q3DE's anomaly-aware rollback re-decoding
-/// works identically across backends.
+/// extract pairwise defect costs in integer weight units with Dijkstra and
+/// match each independent cluster of defects on them; the
+/// [`UnionFindDecoder`] runs almost-linear cluster growth + peeling.  All of
+/// them consume the same re-weighted edge costs, so Q3DE's anomaly-aware
+/// rollback re-decoding works identically across backends.
 ///
 /// # The `&mut` scratch contract
 ///
@@ -160,8 +142,8 @@ impl MatcherKind {
     }
 
     /// Parses a CLI name as produced by [`MatcherKind::name`] (also accepts
-    /// `alt-tree` for the alternating-tree backend, and `uf` and
-    /// `union_find` for the union-find backend).
+    /// `alt-tree` and `alt_tree` for the alternating-tree backend, and `uf`
+    /// and `union_find` for the union-find backend).
     pub fn parse(s: &str) -> Option<MatcherKind> {
         match s {
             "tree" | "alt-tree" | "alt_tree" => Some(MatcherKind::Tree),
@@ -175,24 +157,6 @@ impl MatcherKind {
 #[cfg(test)]
 mod trait_tests {
     use super::*;
-
-    #[test]
-    fn matchers_are_object_safe() {
-        let matchers: Vec<Box<dyn Matcher>> = vec![
-            Box::new(ExactMatcher),
-            Box::new(GreedyMatcher::default()),
-            Box::new(RefinedGreedyMatcher),
-        ];
-        let mut problem = MatchingProblem::new(2);
-        problem.set_pair_cost(0, 1, 1.0);
-        problem.set_boundary_cost(0, 3.0);
-        problem.set_boundary_cost(1, 3.0);
-        for m in &matchers {
-            let sol = m.solve(&problem);
-            assert!(sol.is_complete());
-            assert!(!m.name().is_empty());
-        }
-    }
 
     #[test]
     fn every_backend_solves_through_the_trait_and_kinds_round_trip() {

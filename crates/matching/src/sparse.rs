@@ -182,11 +182,11 @@ impl Adjacency {
 /// A sparse, undirected, non-negatively weighted decoding graph with
 /// boundary edges.
 ///
-/// Unlike [`crate::MatchingProblem`] — which stores *dense* pairwise costs
-/// between active defects — a `SyndromeGraph` stores the underlying physical
-/// graph.  Backends that need pairwise defect costs derive them with
-/// shortest-path searches; the union-find backend never materialises them at
-/// all, which is where its almost-linear runtime comes from.
+/// A `SyndromeGraph` stores the underlying physical graph, not *dense*
+/// pairwise costs between active defects.  The dense backends
+/// ([`crate::GreedyBackend`], [`crate::ExactBackend`]) derive those costs
+/// with shortest-path searches; the sparse backends never materialise them
+/// at all, which is where their near-linear runtime comes from.
 ///
 /// Each edge keeps its weight quantized to integer units (see the module
 /// docs).  The adjacency is one compressed-sparse-row table, built on the

@@ -33,31 +33,16 @@ use crate::sparse::{
 };
 use crate::DecoderBackend;
 
+/// Quantisation resolution: the largest edge weight maps to at most this
+/// many integer growth units.  Larger values would track the re-weighted
+/// costs more faithfully at the price of more growth rounds.
+const MAX_GROWTH: u32 = 16;
+
 /// The union-find decoder backend.  Select it with
 /// [`crate::MatcherKind::UnionFind`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnionFindDecoder {
-    /// Quantisation resolution: the largest edge weight maps to at most this
-    /// many integer growth units.  Larger values track the re-weighted costs
-    /// more faithfully at the price of more growth rounds.
-    pub max_growth: u32,
     scratch: Scratch,
-}
-
-impl UnionFindDecoder {
-    /// Creates the decoder with an explicit quantisation resolution.
-    pub fn new(max_growth: u32) -> Self {
-        Self {
-            max_growth,
-            scratch: Scratch::default(),
-        }
-    }
-}
-
-impl Default for UnionFindDecoder {
-    fn default() -> Self {
-        Self::new(16)
-    }
 }
 
 /// The weighted-union/path-compression cluster forest, re-initialised in
@@ -177,8 +162,8 @@ impl UnionFindDecoder {
     /// proceeds in half-edge units so two clusters approaching one another
     /// meet in the middle — where `unit` maps the cheapest positive weight
     /// to one growth unit, capped so the dearest edge costs at most
-    /// [`UnionFindDecoder::max_growth`] units.
-    fn capacities(max_growth: u32, graph: &SyndromeGraph, out: &mut Vec<u32>) {
+    /// [`MAX_GROWTH`] units.
+    fn capacities(graph: &SyndromeGraph, out: &mut Vec<u32>) {
         out.clear();
         let mut min_pos = f64::INFINITY;
         let mut max_w = 0.0f64;
@@ -193,7 +178,7 @@ impl UnionFindDecoder {
             out.resize(graph.num_edges(), 0);
             return;
         }
-        let unit = min_pos.max(max_w / max_growth.max(1) as f64);
+        let unit = min_pos.max(max_w / f64::from(MAX_GROWTH));
         out.extend(graph.edges().iter().map(|e| {
             let units = (e.weight / unit).round() as u32;
             // a positive weight never quantises to a free edge
@@ -467,7 +452,7 @@ impl DecoderBackend for UnionFindDecoder {
         if defects.is_empty() {
             return DefectMatching::default();
         }
-        Self::capacities(self.max_growth, graph, &mut self.scratch.capacity);
+        Self::capacities(graph, &mut self.scratch.capacity);
         Self::grow(&mut self.scratch, graph, defects);
         Self::peel(&mut self.scratch, graph, defects)
     }
