@@ -29,6 +29,7 @@
 //!   quantiles) needed for the thresholds.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod calibration;
 mod detector;

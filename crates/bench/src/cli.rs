@@ -313,7 +313,13 @@ impl Cli {
                     .ok_or_else(|| format!("{flag} requires a value"))
             };
             match flag {
-                "--samples" => args.samples = number(flag, value()?, "a shot count")?,
+                "--samples" => {
+                    let samples: usize = number(flag, value()?, "a shot count >= 1")?;
+                    if samples == 0 {
+                        return Err(format!("invalid {flag} '0': expected a shot count >= 1"));
+                    }
+                    args.samples = samples;
+                }
                 "--seed" => args.seed = number(flag, value()?, "an integer seed")?,
                 "--matcher" => {
                     let name = value()?;
@@ -505,6 +511,10 @@ mod tests {
             ("--matcher qec", "unknown matcher 'qec'"),
             ("--matcher exact", "unknown matcher 'exact'"),
             ("--matcher blossom", "unknown matcher 'blossom'"),
+            (
+                "--samples 0",
+                "invalid --samples '0': expected a shot count >= 1",
+            ),
             ("--threads 0", "invalid --threads '0'"),
             ("--target-rse -1", "invalid --target-rse"),
             ("--target-rse nope", "invalid --target-rse"),

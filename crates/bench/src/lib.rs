@@ -13,6 +13,7 @@
 //! is generated, so it is identical everywhere.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod fabric;

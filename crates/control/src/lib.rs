@@ -18,6 +18,7 @@
 //! resources, timing and bookkeeping.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod frame;
 pub mod isa;

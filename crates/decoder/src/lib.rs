@@ -71,6 +71,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod context;
 mod decode;

@@ -35,6 +35,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod chip;
 mod coord;

@@ -45,6 +45,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod alt_tree;
 mod backend;

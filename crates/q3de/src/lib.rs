@@ -68,6 +68,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod pipeline;
 pub mod service;

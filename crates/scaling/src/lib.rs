@@ -14,6 +14,7 @@
 //!   adaptive Monte-Carlo experiment engine.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod decoder_hw;
 pub mod effective;

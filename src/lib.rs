@@ -1,2 +1,5 @@
 //! Workspace root crate: re-exports for integration tests/examples.
+
+#![forbid(unsafe_code)]
+
 pub use q3de::*;
