@@ -1,6 +1,7 @@
 //! `q3de-sweepctl` — distributed sweep controller.
 //!
-//! Plans, monitors and merges sweeps run by `q3de-sweepd` workers:
+//! Plans, monitors and merges sweeps run by `q3de-sweepd` workers, which
+//! write one delta file per shard:
 //!
 //! * `plan` partitions a registered sweep (`fig3`, `fig8`) into a job file
 //!   of N disjoint, resumable shards;
@@ -9,20 +10,20 @@
 //! * `merge` folds delta files into the final `bench_report.json` —
 //!   bit-identical (modulo timing fields) to a single-process run at the
 //!   same seed;
-//! * `serve` runs the live TCP coordinator (workers use `--connect`),
-//!   gating adaptive sweeps at block boundaries exactly like a
-//!   single-process run;
 //! * `resume` plans a follow-up job that continues from committed tallies;
 //! * `diff` compares two report artifacts, ignoring timing fields — the
 //!   fabric's acceptance check.
 //!
-//! `serve --checkpoint PATH` and `merge --checkpoint PATH` write the
-//! sweep's checkpoint: the job's plan rebased on the committed tallies,
-//! the same document a single-process `fig3 --checkpoint PATH` writes, so
-//! `fig3 ... --checkpoint PATH --resume` takes the sweep over in one
-//! process.
+//! `merge --checkpoint PATH` writes the sweep's checkpoint: the job's plan
+//! rebased on the committed tallies, the same document a single-process
+//! `fig3 --checkpoint PATH` writes, so `fig3 ... --checkpoint PATH --resume`
+//! takes the sweep over in one process.
+//!
+//! Each subcommand reads only some of the shared engine flags (`plan`:
+//! `--samples`, `--seed`, `--matcher`, `--target-rse`; `merge`:
+//! `--checkpoint`; `status` and `resume`: none) and refuses the others
+//! with exit code 2 rather than ignore them.
 
-use std::net::TcpListener;
 use std::path::Path;
 use std::process::exit;
 
@@ -35,18 +36,17 @@ use q3de_bench::{Cli, ExtraValues};
 const OVERVIEW: &str = "\
 q3de-sweepctl — distributed sweep controller
 
-Usage: q3de-sweepctl <plan|status|merge|serve|resume|diff> [OPTIONS]
+Usage: q3de-sweepctl <plan|status|merge|resume|diff> [OPTIONS]
 
 Subcommands:
   plan     partition a registered sweep into a job of N shards
   status   fold delta files and report per-point progress
   merge    fold delta files into the final report artifact
-  serve    run the live TCP coordinator for q3de-sweepd --connect
   resume   plan a follow-up job continuing from committed tallies
   diff     compare two report artifacts, ignoring timing fields
 
-serve and merge take --checkpoint PATH: they write the committed tallies
-as the checkpoint a single-process run resumes from (for example
+merge takes --checkpoint PATH: it writes the committed tallies as the
+checkpoint a single-process run resumes from (for example
 'fig3 --samples 800 --checkpoint PATH --resume').
 
 Run 'q3de-sweepctl <subcommand> --help' for each flag list.
@@ -58,15 +58,59 @@ fn fail(bin: &str, message: impl AsRef<str>) -> ! {
     exit(2);
 }
 
+/// The engine flags `plan` and `merge` read; the other subcommands read
+/// none.  Each refuses the engine flags it does not read.
+const PLAN_READS: &[&str] = &["--samples", "--seed", "--matcher", "--target-rse"];
+const MERGE_READS: &[&str] = &["--checkpoint"];
+
+/// The first engine flag in `argv` that is not in `reads`.  `argv` has
+/// parsed into `extras`, so each flag is an engine flag or a declared
+/// extra, and every flag but `--resume` and `--json` is followed by its
+/// value (every subcommand's own flags take one).
+fn unread_engine_flag<'a>(
+    argv: &'a [String],
+    extras: &ExtraValues,
+    reads: &[&str],
+) -> Option<&'a str> {
+    let mut tokens = argv.iter().map(String::as_str);
+    while let Some(flag) = tokens.next() {
+        if !extras.is_set(flag) && !reads.contains(&flag) {
+            return Some(flag);
+        }
+        if !matches!(flag, "--resume" | "--json") {
+            tokens.next();
+        }
+    }
+    None
+}
+
 /// Parses a subcommand's argument list through the shared CLI front end
-/// (identical engine flag set and generated help everywhere).
-fn parse(cli: &Cli, bin: &str, argv: &[String]) -> (q3de_bench::EngineArgs, ExtraValues) {
+/// (identical engine flag set and generated help everywhere), refusing
+/// with exit code 2 any engine flag not in `reads`: the subcommand would
+/// otherwise drop it without a word.
+fn parse(
+    cli: &Cli,
+    bin: &str,
+    argv: &[String],
+    reads: &[&str],
+) -> (q3de_bench::EngineArgs, ExtraValues) {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", cli.help());
+        let reads = if reads.is_empty() {
+            "none".to_string()
+        } else {
+            reads.join(", ")
+        };
+        println!("\n{bin} reads these engine options only: {reads}; it refuses the others.");
         exit(0);
     }
-    cli.parse_from(argv)
-        .unwrap_or_else(|message| fail(bin, message))
+    let (args, extras) = cli
+        .parse_from(argv)
+        .unwrap_or_else(|message| fail(bin, message));
+    if let Some(flag) = unread_engine_flag(argv, &extras, reads) {
+        fail(bin, format!("{flag} is not read by this subcommand"));
+    }
+    (args, extras)
 }
 
 fn required<'e>(extras: &'e ExtraValues, bin: &str, flag: &str) -> &'e str {
@@ -119,7 +163,7 @@ fn cmd_plan(argv: &[String]) {
         "number of shards to partition into (required)",
     )
     .flag("--out", "PATH", "job file to write (required)");
-    let (args, extras) = parse(&cli, bin, argv);
+    let (args, extras) = parse(&cli, bin, argv, PLAN_READS);
     let sweep = required(&extras, bin, "--sweep");
     if !sweeps::NAMES.contains(&sweep) {
         fail(
@@ -157,7 +201,7 @@ fn cmd_status(argv: &[String]) {
             "job file written by 'q3de-sweepctl plan' (required)",
         )
         .flag("--deltas", "PATH", "delta file to fold (repeatable)");
-    let (_, extras) = parse(&cli, bin, argv);
+    let (_, extras) = parse(&cli, bin, argv, &[]);
     let job = load_job(bin, required(&extras, bin, "--job"));
     let (coordinator, total) = fold(bin, &job, &extras.all("--deltas"));
 
@@ -212,7 +256,7 @@ fn cmd_merge(argv: &[String]) {
     )
     .flag("--deltas", "PATH", "delta file to fold (repeatable)")
     .flag("--out", "PATH", "report file to write (required)");
-    let (args, extras) = parse(&cli, bin, argv);
+    let (args, extras) = parse(&cli, bin, argv, MERGE_READS);
     let job = load_job(bin, required(&extras, bin, "--job"));
     let out = required(&extras, bin, "--out");
     let (coordinator, total) = fold(bin, &job, &extras.all("--deltas"));
@@ -244,64 +288,6 @@ fn cmd_merge(argv: &[String]) {
     );
 }
 
-fn cmd_serve(argv: &[String]) {
-    let bin = "q3de-sweepctl serve";
-    let cli = Cli::new(
-        bin,
-        "run the live TCP coordinator for q3de-sweepd --connect workers",
-        400,
-    )
-    .flag(
-        "--job",
-        "PATH",
-        "job file written by 'q3de-sweepctl plan' (required)",
-    )
-    .flag(
-        "--listen",
-        "ADDR",
-        "address to listen on, e.g. 127.0.0.1:7311 (required)",
-    )
-    .flag(
-        "--out",
-        "PATH",
-        "report file to write when the sweep completes (required)",
-    );
-    let (args, extras) = parse(&cli, bin, argv);
-    let job = load_job(bin, required(&extras, bin, "--job"));
-    let listen = required(&extras, bin, "--listen");
-    let out = required(&extras, bin, "--out");
-    let checkpoint = args.checkpoint.as_deref().map(Path::new);
-
-    let listener = TcpListener::bind(listen).unwrap_or_else(|error| {
-        eprintln!("{bin}: cannot listen on {listen}: {error}");
-        exit(2);
-    });
-    let bound = listener.local_addr().map(|a| a.to_string());
-    eprintln!(
-        "{bin}: serving '{}' ({} points x {} shards) on {}",
-        job.generator.sweep,
-        job.plan.points.len(),
-        job.plan.num_shards,
-        bound.as_deref().unwrap_or(listen)
-    );
-    let report = match fabric::serve(&listener, &job, checkpoint) {
-        Ok(report) => report,
-        Err(error) => {
-            eprintln!("{bin}: {error}");
-            exit(1);
-        }
-    };
-    if let Err(error) = report.write_json(Path::new(out)) {
-        eprintln!("{bin}: cannot write report: {error}");
-        exit(2);
-    }
-    println!(
-        "complete: {} shots over {} points -> {out}",
-        report.total_shots(),
-        report.points.len()
-    );
-}
-
 fn cmd_resume(argv: &[String]) {
     let bin = "q3de-sweepctl resume";
     let cli = Cli::new(
@@ -321,7 +307,7 @@ fn cmd_resume(argv: &[String]) {
         "N",
         "shard count of the follow-up (default: as before)",
     );
-    let (_, extras) = parse(&cli, bin, argv);
+    let (_, extras) = parse(&cli, bin, argv, &[]);
     let job = load_job(bin, required(&extras, bin, "--job"));
     let out = required(&extras, bin, "--out");
     let shards = extras
@@ -391,7 +377,6 @@ fn main() {
         "plan" => cmd_plan(rest),
         "status" => cmd_status(rest),
         "merge" => cmd_merge(rest),
-        "serve" => cmd_serve(rest),
         "resume" => cmd_resume(rest),
         "diff" => cmd_diff(rest),
         "--help" | "-h" => print!("{OVERVIEW}"),
@@ -400,5 +385,77 @@ fn main() {
             eprint!("{OVERVIEW}");
             exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// The refused flag of `line` under the subcommands' own flags.
+    fn refused(line: &str, reads: &[&str]) -> Option<String> {
+        let cli = ["--sweep", "--shards", "--out", "--job", "--deltas"]
+            .into_iter()
+            .fold(Cli::new("t", "t", 1), |cli, flag| cli.flag(flag, "V", ""));
+        let argv = argv(line);
+        let (_, extras) = cli.parse_from(&argv).unwrap();
+        unread_engine_flag(&argv, &extras, reads).map(String::from)
+    }
+
+    #[test]
+    fn engine_flags_a_subcommand_does_not_read_are_refused() {
+        for (line, reads, expected) in [
+            (
+                "--sweep fig3 --shards 2 --out job.json --checkpoint cp.json --resume --threads 9 \
+                 --report r.json",
+                PLAN_READS,
+                Some("--checkpoint"),
+            ),
+            (
+                "--sweep fig3 --threads 9 --out job.json",
+                PLAN_READS,
+                Some("--threads"),
+            ),
+            ("--resume --sweep fig3", PLAN_READS, Some("--resume")),
+            ("--job j --deltas d --samples 5", &[], Some("--samples")),
+            ("--job j --json", &[], Some("--json")),
+            ("--job j --out o --resume", MERGE_READS, Some("--resume")),
+            (
+                "--sweep fig3 --shards 2 --out job.json --samples 80 --seed 7 --matcher greedy \
+                 --target-rse 0.5",
+                PLAN_READS,
+                None,
+            ),
+            ("--job j --out o --checkpoint cp.json", MERGE_READS, None),
+            ("--job j --deltas d --out o", &[], None),
+            // A value is never taken for a flag.
+            ("--job j --out --threads", &[], None),
+        ] {
+            assert_eq!(refused(line, reads).as_deref(), expected, "{line}");
+        }
+    }
+
+    /// The walk above skips a value after every engine flag but `--resume`
+    /// and `--json`, as the shared front end reads them.
+    #[test]
+    fn engine_flag_arity_matches_the_shared_front_end() {
+        let cli = Cli::new("t", "t", 1);
+        for flag in [
+            "--samples",
+            "--seed",
+            "--matcher",
+            "--threads",
+            "--target-rse",
+            "--checkpoint",
+            "--report",
+        ] {
+            let err = cli.parse_from(&argv(flag)).unwrap_err();
+            assert!(err.contains("requires a value"), "{flag}: {err}");
+        }
+        assert!(cli.parse_from(&argv("--resume --json")).is_ok());
     }
 }

@@ -1,40 +1,33 @@
 //! `q3de-sweepd` — distributed sweep worker.
 //!
-//! Runs one (file transport) or many (TCP transport) shards of a sweep
-//! planned by `q3de-sweepctl plan`.  The worker rebuilds the sweep's
-//! kernels deterministically from the job's generator, cross-checks them
-//! against the plan, runs its shard's stream slices and emits one tally
-//! delta per scheduling block.
+//! Runs one shard of a sweep planned by `q3de-sweepctl plan`.  The worker
+//! rebuilds the sweep's kernels deterministically from the job's generator,
+//! cross-checks them against the plan, runs its shard's stream slices and
+//! writes one tally delta per scheduling block to its delta file.
 //!
-//! File transport: `--job job.json --shard K` writes the deltas to a file
-//! that doubles as the shard checkpoint (`--resume` picks it back up after
-//! a kill, losing at most the in-flight block).  The merged result is
-//! bit-identical to a single-process run; without a live coordinator,
-//! adaptive sweeps cannot stop early (the merge discards overshoot).
-//!
-//! TCP transport: `--connect HOST:PORT` claims shards from a
-//! `q3de-sweepctl serve` coordinator until none remain.  The coordinator
-//! checkpoints committed deltas itself and gates blocks live, so adaptive
-//! sweeps stop early exactly like a single-process run.
+//! The delta file doubles as the shard checkpoint: `--resume` picks it back
+//! up after a kill, losing at most the in-flight block.  `q3de-sweepctl
+//! merge` folds the shards' files into a report bit-identical to a
+//! single-process run.  Without a live coordinator, adaptive sweeps cannot
+//! stop early: each shard runs its whole schedule and the merge discards
+//! the overshoot.
 
 use std::path::Path;
 use std::process::exit;
 
 use q3de::sim::engine::ShardWorker;
-use q3de_bench::fabric::{FileSink, RemoteSink, SweepJob};
+use q3de_bench::fabric::{FileSink, SweepJob};
 
 const HELP: &str = "\
-q3de-sweepd — distributed sweep worker (runs shards planned by q3de-sweepctl)
+q3de-sweepd — distributed sweep worker (runs one shard planned by q3de-sweepctl)
 
 Usage: q3de-sweepd --job PATH --shard K [--deltas PATH] [--resume]
-       q3de-sweepd --connect HOST:PORT
 
 Options:
   --job PATH         job file written by 'q3de-sweepctl plan'
-  --shard K          shard index to run (0-based; file transport only)
+  --shard K          shard index to run (0-based)
   --deltas PATH      delta/checkpoint file (default deltas-shardK.json)
   --resume           resume from the delta file when it exists
-  --connect ADDR     claim shards from a 'q3de-sweepctl serve' coordinator
   -h, --help         print this help text
 ";
 
@@ -43,7 +36,6 @@ struct Args {
     shard: Option<usize>,
     deltas: Option<String>,
     resume: bool,
-    connect: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -62,7 +54,6 @@ fn parse_args() -> Args {
         shard: None,
         deltas: None,
         resume: false,
-        connect: None,
     };
     let mut i = 0;
     while i < argv.len() {
@@ -84,7 +75,6 @@ fn parse_args() -> Args {
             }
             "--deltas" => args.deltas = Some(value()),
             "--resume" => args.resume = true,
-            "--connect" => args.connect = Some(value()),
             other => fail(format!("unknown flag '{other}'")),
         }
         i += 1;
@@ -92,8 +82,8 @@ fn parse_args() -> Args {
     args
 }
 
-/// File transport: run one shard against a local delta file.
-fn run_file(job_path: &str, shard: usize, deltas: Option<String>, resume: bool) {
+/// Runs one shard against its delta file.
+fn run(job_path: &str, shard: usize, deltas: Option<String>, resume: bool) {
     let job = SweepJob::load(Path::new(job_path)).unwrap_or_else(|error| {
         eprintln!("q3de-sweepd: cannot load job: {error}");
         exit(2);
@@ -132,67 +122,12 @@ fn run_file(job_path: &str, shard: usize, deltas: Option<String>, resume: bool) 
     );
 }
 
-/// TCP transport: claim and run shards until the coordinator drains.
-fn run_tcp(addr: &str) {
-    let mut ran = 0usize;
-    loop {
-        // One connection per shard: the coordinator ties a claim to its
-        // connection so a dying worker releases the shard automatically.
-        let mut sink = match RemoteSink::connect(addr) {
-            Ok(sink) => sink,
-            // A coordinator that has already merged its last block exits;
-            // reconnecting for another claim then means "drained", not an
-            // error — but an unreachable coordinator before any work is.
-            Err(error) if ran > 0 => {
-                eprintln!("q3de-sweepd: coordinator gone ({error}), assuming drained");
-                break;
-            }
-            Err(error) => {
-                eprintln!("q3de-sweepd: cannot connect: {error}");
-                exit(2);
-            }
-        };
-        let claim = sink.claim().unwrap_or_else(|error| {
-            eprintln!("q3de-sweepd: claim failed: {error}");
-            exit(2);
-        });
-        let Some((shard, job, completed)) = claim else {
-            break;
-        };
-        let points = job.points().unwrap_or_else(|message| {
-            eprintln!("q3de-sweepd: cannot rebuild the sweep: {message}");
-            exit(2);
-        });
-        if !completed.is_empty() {
-            eprintln!(
-                "q3de-sweepd: taking over shard {shard} with {} committed blocks",
-                completed.len()
-            );
-        }
-        let result = ShardWorker::new(&job.plan, shard).run(&points, &completed, &mut sink);
-        if let Err(error) = result {
-            eprintln!("q3de-sweepd: shard {shard} failed: {error}");
-            exit(2);
-        }
-        if let Err(error) = sink.finish() {
-            eprintln!("q3de-sweepd: cannot report shard {shard} done: {error}");
-            exit(2);
-        }
-        eprintln!("q3de-sweepd: shard {shard} done");
-        ran += 1;
-    }
-    eprintln!("q3de-sweepd: coordinator drained after {ran} shards");
-}
-
 fn main() {
     let args = parse_args();
-    match (&args.connect, &args.job, args.shard) {
-        (Some(addr), None, None) => run_tcp(addr),
-        (None, Some(job), Some(shard)) => run_file(job, shard, args.deltas, args.resume),
-        _ => {
-            eprintln!("q3de-sweepd: need either --connect ADDR or both --job PATH and --shard K");
-            eprintln!("run 'q3de-sweepd --help' for the flag list");
-            exit(2);
-        }
-    }
+    let (Some(job), Some(shard)) = (&args.job, args.shard) else {
+        eprintln!("q3de-sweepd: need both --job PATH and --shard K");
+        eprintln!("run 'q3de-sweepd --help' for the flag list");
+        exit(2);
+    };
+    run(job, shard, args.deltas, args.resume);
 }

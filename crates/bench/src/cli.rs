@@ -43,7 +43,7 @@ pub struct EngineArgs {
     pub target_rse: Option<f64>,
     /// Sweep checkpoint file (`--checkpoint PATH`): the committed tallies
     /// are persisted there so a killed sweep can be resumed.  The figure
-    /// binaries and `q3de-sweepctl serve`/`merge` all write it.
+    /// binaries and `q3de-sweepctl merge` both write it.
     pub checkpoint: Option<String>,
     /// Resume from the checkpoint file if it exists (`--resume`).
     pub resume: bool,

@@ -1,5 +1,5 @@
-//! The distributed sweep fabric: job files, delta files, and the
-//! length-prefixed TCP protocol behind `q3de-sweepd` and `q3de-sweepctl`.
+//! The distributed sweep fabric: job files and delta files behind
+//! `q3de-sweepd` and `q3de-sweepctl`.
 //!
 //! A distributed sweep is the engine's shard protocol stretched across
 //! processes:
@@ -9,31 +9,28 @@
 //!   its kernels deterministically) and the engine's
 //!   [`ShardPlan`] (pure data: the deterministic stream partition);
 //! * each `q3de-sweepd` worker rebuilds the identical points from the
-//!   generator, runs its shard and emits [`TallyDelta`]s — to a delta file
-//!   ([`FileSink`]) or to a live coordinator over TCP ([`RemoteSink`]);
-//! * `q3de-sweepctl merge`/[`serve`] folds the deltas through the engine's
-//!   [`Coordinator`], whose merge is associative, commutative and
-//!   duplicate-idempotent — so the merged report is **bit-identical**
-//!   (modulo the [`TIMING_FIELDS`]) to a single-process run at the same
-//!   seed, which `q3de-sweepctl diff` checks.
+//!   generator, runs its shard and writes its [`TallyDelta`]s to a delta
+//!   file ([`FileSink`]);
+//! * `q3de-sweepctl merge` folds the delta files through the engine's
+//!   [`Coordinator`](q3de::sim::engine::Coordinator), whose merge is
+//!   associative, commutative and duplicate-idempotent — so the merged
+//!   report is **bit-identical** (modulo the [`TIMING_FIELDS`]) to a
+//!   single-process run at the same seed, which `q3de-sweepctl diff`
+//!   checks.
 //!
-//! The file transport has no live coordinator, so its gate always answers
-//! [`EpochGate::Run`]: an adaptive sweep's workers run every scheduled
-//! block up to the ceiling, and the merge discards the blocks past each
-//! point's stop boundary — same statistics, no early-stop savings.  The TCP
-//! transport gates against the live coordinator and does stop early.
+//! A delta file has no live coordinator behind it, so its gate always
+//! answers [`EpochGate::Run`]: an adaptive sweep's workers run every
+//! scheduled block up to the ceiling, and the merge discards the blocks past
+//! each point's stop boundary — same statistics, no early-stop savings.  A
+//! single-process run (`fig3 --target-rse …` on all cores) keeps them.
 
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::time::Instant;
 
 use q3de::matching::MatcherKind;
 use q3de::sim::engine::json::{check_schema_version, JsonValue};
 use q3de::sim::engine::{
-    read_document, write_atomic, Coordinator, DeltaSink, EngineError, EpochGate, ShardPlan,
-    SweepPoint, SweepReport, TallyDelta,
+    read_document, write_atomic, DeltaSink, EngineError, EpochGate, ShardPlan, SweepPoint,
+    SweepReport, TallyDelta,
 };
 
 use crate::{sweeps, EngineArgs};
@@ -139,6 +136,12 @@ impl Generator {
             .get("matcher")
             .and_then(JsonValue::as_str)
             .ok_or("generator missing matcher")?;
+        // The bounds `Cli` enforces on `--samples` and `--target-rse`.
+        let target_rse = match value.get("target_rse") {
+            Some(JsonValue::Null) => None,
+            Some(JsonValue::Number(rse)) if *rse > 0.0 => Some(*rse),
+            _ => return Err("generator target_rse must be null or a positive number".into()),
+        };
         Ok(Self {
             sweep: value
                 .get("sweep")
@@ -151,10 +154,11 @@ impl Generator {
             samples: value
                 .get("samples")
                 .and_then(JsonValue::as_usize)
-                .ok_or("generator missing samples")?,
+                .filter(|&samples| samples >= 1)
+                .ok_or("generator samples must be a shot count >= 1")?,
             matcher: MatcherKind::parse(matcher)
                 .ok_or_else(|| format!("generator has unknown matcher '{matcher}'"))?,
-            target_rse: value.get("target_rse").and_then(JsonValue::as_f64),
+            target_rse,
         })
     }
 }
@@ -162,7 +166,7 @@ impl Generator {
 /// A planned distributed sweep: the [`Generator`] that rebuilds its kernels
 /// and the [`ShardPlan`] that partitions its streams.  This is the
 /// `job.json` artifact `q3de-sweepctl plan` writes and every worker and
-/// merge step loads (or receives over TCP at claim time).
+/// merge step loads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepJob {
     /// How to rebuild the sweep's points.
@@ -320,7 +324,7 @@ pub fn load_deltas(path: &Path) -> Result<Vec<TallyDelta>, EngineError> {
     })
 }
 
-/// The file transport's [`DeltaSink`]: every committed delta is appended to
+/// The fabric's [`DeltaSink`]: every committed delta is appended to
 /// an in-memory set and the whole set rewritten atomically, so the delta
 /// file doubles as the worker's shard checkpoint — a killed worker restarts
 /// with `--resume` and loses at most its in-flight block.
@@ -373,438 +377,6 @@ impl DeltaSink for FileSink {
 
     fn gate(&mut self, _point: usize, _epoch: usize) -> Result<EpochGate, EngineError> {
         Ok(EpochGate::Run)
-    }
-}
-
-/// Hard ceiling on one TCP frame's payload (a frame carries one JSON
-/// message; the largest legitimate one is a job document).
-pub const MAX_FRAME: usize = 16 << 20;
-
-/// Writes one length-prefixed frame: a `u32` big-endian payload length
-/// followed by the message's JSON text.
-///
-/// # Errors
-///
-/// Returns an error when the payload exceeds [`MAX_FRAME`] or the write
-/// fails.
-pub fn send_frame(stream: &mut impl Write, message: &JsonValue) -> io::Result<()> {
-    let payload = message.to_string();
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "frame of {} bytes exceeds the {MAX_FRAME} limit",
-                payload.len()
-            ),
-        ));
-    }
-    stream.write_all(&(payload.len() as u32).to_be_bytes())?;
-    stream.write_all(payload.as_bytes())?;
-    stream.flush()
-}
-
-/// Reads one length-prefixed frame.  Returns `Ok(None)` on a clean EOF at
-/// a frame boundary (the peer closed the connection).
-///
-/// # Errors
-///
-/// Returns an error on a truncated frame, an oversized length prefix, or
-/// an unparseable payload.
-pub fn recv_frame(stream: &mut impl Read) -> io::Result<Option<JsonValue>> {
-    let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        match stream.read(&mut prefix[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame header",
-                ))
-            }
-            n => filled += n,
-        }
-    }
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME} limit"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    let text = String::from_utf8(payload)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-    JsonValue::parse(&text)
-        .map(Some)
-        .map_err(|message| io::Error::new(io::ErrorKind::InvalidData, message))
-}
-
-/// A one-field JSON object `{"type": t}`, the skeleton of every protocol
-/// message.
-fn message(t: &str) -> Vec<(String, JsonValue)> {
-    vec![("type".into(), JsonValue::String(t.into()))]
-}
-
-fn transport_error(addr: &str, source: io::Error) -> EngineError {
-    EngineError::Io {
-        path: PathBuf::from(addr),
-        source,
-    }
-}
-
-fn protocol_error(addr: &str, message: impl Into<String>) -> EngineError {
-    transport_error(
-        addr,
-        io::Error::new(io::ErrorKind::InvalidData, message.into()),
-    )
-}
-
-/// The TCP transport's [`DeltaSink`]: one connection to a [`serve`]
-/// coordinator, speaking request/reply frames.  Unlike the file transport
-/// it has live gating, so adaptive sweeps stop early exactly like a
-/// single-process run.
-///
-/// Message types (worker → coordinator, each answered with one frame):
-/// `claim` (assigns a shard, returning the job and the shard's committed
-/// deltas), `delta`, `gate`, `done`.
-#[derive(Debug)]
-pub struct RemoteSink {
-    stream: TcpStream,
-    addr: String,
-}
-
-impl RemoteSink {
-    /// Connects to a `q3de-sweepctl serve` coordinator.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the connection fails.
-    pub fn connect(addr: &str) -> Result<Self, EngineError> {
-        let stream = TcpStream::connect(addr).map_err(|e| transport_error(addr, e))?;
-        stream.set_nodelay(true).ok();
-        Ok(Self {
-            stream,
-            addr: addr.to_string(),
-        })
-    }
-
-    fn roundtrip(&mut self, request: JsonValue) -> Result<JsonValue, EngineError> {
-        send_frame(&mut self.stream, &request).map_err(|e| transport_error(&self.addr, e))?;
-        recv_frame(&mut self.stream)
-            .map_err(|e| transport_error(&self.addr, e))?
-            .ok_or_else(|| protocol_error(&self.addr, "coordinator closed the connection"))
-    }
-
-    /// Claims a shard.  Returns `None` when the coordinator has no shard
-    /// left to hand out (all claimed or finished), otherwise the shard
-    /// index, the job to run and the deltas this shard already committed
-    /// (resubmitted instead of re-run after a worker was killed).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on transport failure or a malformed reply.
-    pub fn claim(&mut self) -> Result<Option<(usize, SweepJob, Vec<TallyDelta>)>, EngineError> {
-        let reply = self.roundtrip(JsonValue::Object(message("claim")))?;
-        match reply.get("type").and_then(JsonValue::as_str) {
-            Some("assign") => {}
-            Some("drained") => return Ok(None),
-            other => {
-                return Err(protocol_error(
-                    &self.addr,
-                    format!("unexpected claim reply {other:?}"),
-                ))
-            }
-        }
-        let shard = reply
-            .get("shard")
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| protocol_error(&self.addr, "assign frame missing shard"))?;
-        let job = reply
-            .get("job")
-            .ok_or_else(|| protocol_error(&self.addr, "assign frame missing job"))
-            .and_then(|j| SweepJob::from_json(j).map_err(|m| protocol_error(&self.addr, m)))?;
-        let completed = reply
-            .get("completed")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| protocol_error(&self.addr, "assign frame missing completed"))?
-            .iter()
-            .map(|d| TallyDelta::from_json(d).map_err(|m| protocol_error(&self.addr, m)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Some((shard, job, completed)))
-    }
-
-    /// Reports the claimed shard finished, so the coordinator keeps the
-    /// claim instead of releasing it when the connection closes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on transport failure.
-    pub fn finish(&mut self) -> Result<(), EngineError> {
-        let reply = self.roundtrip(JsonValue::Object(message("done")))?;
-        match reply.get("type").and_then(JsonValue::as_str) {
-            Some("ok") => Ok(()),
-            other => Err(protocol_error(
-                &self.addr,
-                format!("unexpected done reply {other:?}"),
-            )),
-        }
-    }
-}
-
-impl DeltaSink for RemoteSink {
-    fn submit(&mut self, delta: TallyDelta) -> Result<(), EngineError> {
-        let mut fields = message("delta");
-        fields.push(("delta".into(), delta.to_json()));
-        let reply = self.roundtrip(JsonValue::Object(fields))?;
-        match reply.get("type").and_then(JsonValue::as_str) {
-            Some("ok") => Ok(()),
-            Some("refused") => Err(EngineError::CheckpointMismatch {
-                reason: reply
-                    .get("message")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("delta refused")
-                    .to_string(),
-            }),
-            other => Err(protocol_error(
-                &self.addr,
-                format!("unexpected delta reply {other:?}"),
-            )),
-        }
-    }
-
-    fn gate(&mut self, point: usize, epoch: usize) -> Result<EpochGate, EngineError> {
-        let mut fields = message("gate");
-        fields.push(("point".into(), JsonValue::Number(point as f64)));
-        fields.push(("epoch".into(), JsonValue::Number(epoch as f64)));
-        let reply = self.roundtrip(JsonValue::Object(fields))?;
-        match reply.get("gate").and_then(JsonValue::as_str) {
-            Some("run") => Ok(EpochGate::Run),
-            Some("wait") => Ok(EpochGate::Wait),
-            Some("skip") => Ok(EpochGate::Skip),
-            other => Err(protocol_error(
-                &self.addr,
-                format!("unexpected gate reply {other:?}"),
-            )),
-        }
-    }
-
-    fn wait_for_progress(&mut self) -> Result<(), EngineError> {
-        // Another shard must commit a block before our gates can change;
-        // a short poll interval keeps the protocol request/reply-only.
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        Ok(())
-    }
-}
-
-/// The live coordinator's shared state: the engine merge plus the shard
-/// claim table the TCP handlers operate on.
-struct ServeState {
-    coordinator: Coordinator,
-    /// Shards currently held by a connected worker.
-    claimed: Vec<bool>,
-    /// Shards whose worker reported `done` (never handed out again).
-    done: Vec<bool>,
-    /// Accepted deltas per shard, replayed to a worker that re-claims the
-    /// shard after its predecessor died.
-    committed: Vec<Vec<TallyDelta>>,
-    /// First checkpoint-write failure, surfaced after the sweep.
-    checkpoint_error: Option<EngineError>,
-}
-
-/// Runs the TCP coordinator of a sweep to completion: accepts workers,
-/// hands out shards, folds their deltas through the engine's
-/// [`Coordinator`] (gating adaptively at block boundaries) and returns the
-/// merged report with the job's metadata stamped in.
-///
-/// A worker that disconnects without sending `done` has its shard released
-/// for the next `claim`, along with the deltas it already committed — so a
-/// killed worker costs at most its in-flight block.  With `checkpoint`,
-/// the job's plan rebased on the committed tallies
-/// ([`Coordinator::checkpoint`]) is persisted after every merge step: the
-/// same document a single-process sweep writes, so one process can take
-/// the sweep over with `--resume`.
-///
-/// # Errors
-///
-/// Returns an error when accepting fails, a checkpoint cannot be written,
-/// or the final report is incomplete.
-///
-/// # Panics
-///
-/// Panics if a connection-handler thread panics.
-pub fn serve(
-    listener: &TcpListener,
-    job: &SweepJob,
-    checkpoint: Option<&Path>,
-) -> Result<SweepReport, EngineError> {
-    let num_shards = job.plan.num_shards;
-    let state = Mutex::new(ServeState {
-        coordinator: Coordinator::new(job.plan.clone()),
-        claimed: vec![false; num_shards],
-        done: vec![false; num_shards],
-        committed: vec![Vec::new(); num_shards],
-        checkpoint_error: None,
-    });
-    let wake_addr = listener
-        .local_addr()
-        .map_err(|e| transport_error("listener", e))?;
-
-    // Persist the starting state up front: an unwritable checkpoint path
-    // fails before any worker runs a shot.
-    if let Some(path) = checkpoint {
-        let locked = state.lock().expect("serve lock poisoned");
-        locked.coordinator.checkpoint().save(path)?;
-    }
-
-    let start = Instant::now();
-    std::thread::scope(|scope| -> Result<(), EngineError> {
-        loop {
-            {
-                let locked = state.lock().expect("serve lock poisoned");
-                if locked.coordinator.all_finished() {
-                    return Ok(());
-                }
-            }
-            let (stream, _) = listener
-                .accept()
-                .map_err(|e| transport_error("listener", e))?;
-            let state = &state;
-            scope.spawn(move || serve_connection(stream, job, state, checkpoint, wake_addr));
-        }
-    })?;
-    let wall_clock_secs = start.elapsed().as_secs_f64();
-
-    let state = state.into_inner().expect("serve lock poisoned");
-    if let Some(error) = state.checkpoint_error {
-        return Err(error);
-    }
-    let mut report = state.coordinator.report(wall_clock_secs, num_shards)?;
-    job.stamp_meta(&mut report);
-    Ok(report)
-}
-
-/// Serves one worker connection until it closes.  Transport errors drop
-/// the connection (the worker sees them on its side); a connection that
-/// ends without `done` releases its claimed shard for takeover.
-fn serve_connection(
-    mut stream: TcpStream,
-    job: &SweepJob,
-    state: &Mutex<ServeState>,
-    checkpoint: Option<&Path>,
-    wake_addr: std::net::SocketAddr,
-) {
-    stream.set_nodelay(true).ok();
-    let mut claimed_shard: Option<usize> = None;
-    let mut finished_cleanly = false;
-    while let Ok(Some(request)) = recv_frame(&mut stream) {
-        let reply = match request.get("type").and_then(JsonValue::as_str) {
-            Some("claim") => {
-                let mut locked = state.lock().expect("serve lock poisoned");
-                let free =
-                    (0..locked.claimed.len()).find(|&k| !locked.claimed[k] && !locked.done[k]);
-                match free {
-                    Some(shard) if claimed_shard.is_none() => {
-                        locked.claimed[shard] = true;
-                        claimed_shard = Some(shard);
-                        let mut fields = message("assign");
-                        fields.push(("shard".into(), JsonValue::Number(shard as f64)));
-                        fields.push(("job".into(), job.to_json()));
-                        fields.push((
-                            "completed".into(),
-                            JsonValue::Array(
-                                locked.committed[shard]
-                                    .iter()
-                                    .map(TallyDelta::to_json)
-                                    .collect(),
-                            ),
-                        ));
-                        JsonValue::Object(fields)
-                    }
-                    _ => JsonValue::Object(message("drained")),
-                }
-            }
-            Some("delta") => {
-                let delta = request
-                    .get("delta")
-                    .ok_or_else(|| "delta frame missing delta".to_string())
-                    .and_then(TallyDelta::from_json);
-                match delta {
-                    Ok(delta) => {
-                        let mut locked = state.lock().expect("serve lock poisoned");
-                        match locked.coordinator.submit(&delta) {
-                            Ok(_) => {
-                                let shard = delta.shard;
-                                if !locked.committed[shard].contains(&delta) {
-                                    locked.committed[shard].push(delta);
-                                }
-                                if let Some(path) = checkpoint {
-                                    if locked.checkpoint_error.is_none() {
-                                        if let Err(error) =
-                                            locked.coordinator.checkpoint().save(path)
-                                        {
-                                            locked.checkpoint_error = Some(error);
-                                        }
-                                    }
-                                }
-                                if locked.coordinator.all_finished() {
-                                    // Wake the accept loop so it notices.
-                                    drop(locked);
-                                    drop(TcpStream::connect(wake_addr));
-                                }
-                                JsonValue::Object(message("ok"))
-                            }
-                            Err(error) => {
-                                let mut fields = message("refused");
-                                fields
-                                    .push(("message".into(), JsonValue::String(error.to_string())));
-                                JsonValue::Object(fields)
-                            }
-                        }
-                    }
-                    Err(error) => {
-                        let mut fields = message("refused");
-                        fields.push(("message".into(), JsonValue::String(error)));
-                        JsonValue::Object(fields)
-                    }
-                }
-            }
-            Some("gate") => {
-                let point = request.get("point").and_then(JsonValue::as_usize);
-                let epoch = request.get("epoch").and_then(JsonValue::as_usize);
-                match (point, epoch) {
-                    (Some(point), Some(epoch)) if point < job.plan.points.len() => {
-                        let locked = state.lock().expect("serve lock poisoned");
-                        let gate = match locked.coordinator.gate(point, epoch) {
-                            EpochGate::Run => "run",
-                            EpochGate::Wait => "wait",
-                            EpochGate::Skip => "skip",
-                        };
-                        let mut fields = message("gate");
-                        fields.push(("gate".into(), JsonValue::String(gate.into())));
-                        JsonValue::Object(fields)
-                    }
-                    _ => JsonValue::Object(message("drained")),
-                }
-            }
-            Some("done") => {
-                if let Some(shard) = claimed_shard {
-                    state.lock().expect("serve lock poisoned").done[shard] = true;
-                }
-                finished_cleanly = true;
-                JsonValue::Object(message("ok"))
-            }
-            _ => JsonValue::Object(message("drained")),
-        };
-        if send_frame(&mut stream, &reply).is_err() {
-            break;
-        }
-    }
-    if let Some(shard) = claimed_shard {
-        if !finished_cleanly {
-            state.lock().expect("serve lock poisoned").claimed[shard] = false;
-        }
     }
 }
 
@@ -863,7 +435,7 @@ fn diff_value(path: &str, a: &JsonValue, b: &JsonValue, out: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use q3de::sim::engine::{ShardWorker, SweepConfig, SweepRunner};
+    use q3de::sim::engine::{Coordinator, ShardWorker, SweepConfig, SweepRunner};
 
     fn generator() -> Generator {
         Generator {
@@ -912,6 +484,41 @@ mod tests {
             let err = Generator::from_json(&doc).unwrap_err();
             assert!(err.contains(&format!("unknown matcher '{old}'")), "{err}");
         }
+        // A target or shot count outside `Cli`'s bounds is refused by field
+        // name, not read as a fixed sweep or passed on to the planner.
+        let with = |key: &str, value: JsonValue| {
+            let mut doc = generator().to_json();
+            if let JsonValue::Object(fields) = &mut doc {
+                fields.retain(|(k, _)| k != key);
+                fields.push((key.into(), value));
+            }
+            Generator::from_json(&doc)
+        };
+        for bad in [
+            JsonValue::String("0.5".into()),
+            JsonValue::Number(-1.0),
+            JsonValue::Number(0.0),
+            JsonValue::Bool(true),
+        ] {
+            let err = with("target_rse", bad).unwrap_err();
+            assert!(err.contains("target_rse"), "{err}");
+        }
+        for bad in [
+            JsonValue::Number(0.0),
+            JsonValue::Number(-3.0),
+            JsonValue::Number(1.5),
+            JsonValue::String("96".into()),
+        ] {
+            let err = with("samples", bad).unwrap_err();
+            assert!(err.contains("samples"), "{err}");
+        }
+        assert_eq!(with("target_rse", JsonValue::Null).unwrap(), generator());
+        assert_eq!(
+            with("target_rse", JsonValue::Number(0.5))
+                .unwrap()
+                .target_rse,
+            Some(0.5)
+        );
     }
 
     #[test]
@@ -940,26 +547,6 @@ mod tests {
         let fresh = FileSink::new(&path, false).unwrap();
         assert!(fresh.deltas().is_empty());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn frames_round_trip_over_a_buffer() {
-        let value = JsonValue::Object(vec![("type".into(), JsonValue::String("claim".into()))]);
-        let mut buffer = Vec::new();
-        send_frame(&mut buffer, &value).unwrap();
-        send_frame(&mut buffer, &JsonValue::Number(7.0)).unwrap();
-        let mut reader = io::Cursor::new(buffer);
-        assert_eq!(recv_frame(&mut reader).unwrap(), Some(value));
-        assert_eq!(
-            recv_frame(&mut reader).unwrap(),
-            Some(JsonValue::Number(7.0))
-        );
-        assert_eq!(recv_frame(&mut reader).unwrap(), None, "clean EOF");
-
-        let mut truncated = io::Cursor::new(vec![0, 0, 0, 9, b'{']);
-        assert!(recv_frame(&mut truncated).is_err());
-        let mut oversized = io::Cursor::new(0xFFFF_FFFFu32.to_be_bytes().to_vec());
-        assert!(recv_frame(&mut oversized).is_err());
     }
 
     #[test]
@@ -995,81 +582,44 @@ mod tests {
         ]
     }
 
-    /// A cheap toy job: real plan and protocol over [`toy_points`], 300
-    /// shots per point.
-    fn toy_job(num_shards: usize) -> SweepJob {
-        let config = SweepConfig::fixed(300);
-        SweepJob {
-            generator: generator(),
-            plan: ShardPlan::new(&config, &toy_points(), None, num_shards),
-        }
-    }
-
-    /// Runs `job` through [`serve`] with one TCP worker per shard and
-    /// returns the served report.
-    fn serve_over_tcp(job: &SweepJob, checkpoint: Option<&Path>) -> SweepReport {
-        let points = toy_points();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve(&listener, job, checkpoint).unwrap());
-            for _ in 0..job.plan.num_shards {
-                let addr = addr.clone();
-                let points = &points;
-                scope.spawn(move || {
-                    let mut sink = RemoteSink::connect(&addr).unwrap();
-                    let (shard, remote_job, completed) = sink.claim().unwrap().expect("shard free");
-                    assert_eq!(remote_job.plan.fingerprint(), job.plan.fingerprint());
-                    ShardWorker::new(&job.plan, shard)
-                        .run(points, &completed, &mut sink)
-                        .unwrap();
-                    sink.finish().unwrap();
-                });
-            }
-            server.join().unwrap()
-        })
-    }
-
     #[test]
-    fn tcp_sweep_matches_the_in_process_merge() {
-        let job = toy_job(2);
-        let points = toy_points();
-        let report = serve_over_tcp(&job, None);
-
-        // The merged tallies equal a local coordinator fold of the same
-        // plan run through in-process workers.
-        let mut coordinator = Coordinator::new(job.plan.clone());
-        for shard in 0..job.plan.num_shards {
-            let mut deltas = Vec::new();
-            struct Collect<'a>(&'a mut Vec<TallyDelta>);
-            impl DeltaSink for Collect<'_> {
-                fn submit(&mut self, delta: TallyDelta) -> Result<(), EngineError> {
-                    self.0.push(delta);
-                    Ok(())
-                }
-                fn gate(&mut self, _: usize, _: usize) -> Result<EpochGate, EngineError> {
-                    Ok(EpochGate::Run)
-                }
-            }
-            ShardWorker::new(&job.plan, shard)
-                .run(&points, &[], &mut Collect(&mut deltas))
-                .unwrap();
-            coordinator.submit_all(&deltas).unwrap();
-        }
-        let mut local = coordinator.report(0.0, 2).unwrap();
-        job.stamp_meta(&mut local);
-        let differences = diff_reports(&report.to_json(), &local.to_json());
-        assert!(differences.is_empty(), "{differences:?}");
-    }
-
-    #[test]
-    fn a_single_process_takes_over_from_the_served_checkpoint() {
+    fn a_single_process_takes_over_from_the_merged_checkpoint() {
         let dir = std::env::temp_dir().join(format!("q3de-takeover-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tcp-cp.json");
-        serve_over_tcp(&toy_job(2), Some(&path));
+        // A real 2-shard plan over the toy points, 300 shots per point.
+        let points = toy_points();
+        let job = SweepJob {
+            generator: generator(),
+            plan: ShardPlan::new(&SweepConfig::fixed(300), &points, None, 2),
+        };
 
-        // Extend the served 300-shot sweep to 600 shots in one process.
+        // What `q3de-sweepd --deltas` and `q3de-sweepctl merge --checkpoint`
+        // do: every shard writes its delta file, the merge folds them all.
+        let mut coordinator = Coordinator::new(job.plan.clone());
+        for shard in 0..job.plan.num_shards {
+            let deltas = dir.join(format!("d{shard}.json"));
+            let mut sink = FileSink::new(&deltas, false).unwrap();
+            ShardWorker::new(&job.plan, shard)
+                .run(&points, &[], &mut sink)
+                .unwrap();
+            coordinator
+                .submit_all(&load_deltas(&deltas).unwrap())
+                .unwrap();
+        }
+        let path = dir.join("merged-cp.json");
+        coordinator.checkpoint().save(&path).unwrap();
+
+        // The merged report equals an in-process run of the same sweep.
+        let mut merged = coordinator.report(0.0, job.plan.num_shards).unwrap();
+        job.stamp_meta(&mut merged);
+        let mut single = SweepRunner::new(SweepConfig::fixed(300))
+            .run(toy_points())
+            .unwrap();
+        job.stamp_meta(&mut single);
+        let differences = diff_reports(&merged.to_json(), &single.to_json());
+        assert!(differences.is_empty(), "{differences:?}");
+
+        // Extend the merged 300-shot sweep to 600 shots in one process.
         let config = SweepConfig::fixed(600);
         let resumed = SweepRunner::new(config.clone().with_checkpoint(&path).with_resume(true))
             .run(toy_points())

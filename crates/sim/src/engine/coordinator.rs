@@ -13,13 +13,13 @@
 //! same decisions.
 //!
 //! Deltas past a point's stop boundary (speculative work a worker ran
-//! before learning of convergence, or a file-transport worker that ran to
+//! before learning of convergence, or a `q3de-sweepd` worker that ran to
 //! the ceiling) are accepted and discarded — they never contaminate the
 //! committed tally.
 //!
 //! [`Coordinator::checkpoint`] — the plan rebased on the committed tallies
 //! — is the one persisted form of sweep progress: every checkpoint writer
-//! (the single-process runner, `q3de-sweepctl serve` and `merge`) saves it,
+//! (the single-process runner and `q3de-sweepctl merge`) saves it,
 //! and every resume reads its baselines.
 
 use std::collections::BTreeMap;
@@ -293,8 +293,8 @@ impl Coordinator {
 
     /// The sweep's checkpoint: the plan rebased on the committed tallies
     /// (every point's baseline set to its committed `(shots, failures)`).
-    /// `SweepRunner --checkpoint`, `q3de-sweepctl serve --checkpoint` and
-    /// `merge --checkpoint` all persist this one document, so a sharded
+    /// `SweepRunner --checkpoint` and `q3de-sweepctl merge --checkpoint`
+    /// both persist this one document, so a sharded
     /// sweep can be taken over by a single process and vice versa.
     pub fn checkpoint(&self) -> ShardPlan {
         let mut plan = self.plan.clone();

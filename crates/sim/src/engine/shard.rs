@@ -23,15 +23,14 @@
 //!
 //! [`SweepRunner`](super::SweepRunner) itself is an instance of this
 //! protocol (N in-process shards, one in-process coordinator); the
-//! `q3de-sweepd`/`q3de-sweepctl` binaries are the same protocol over files
-//! or TCP.
+//! `q3de-sweepd`/`q3de-sweepctl` binaries are the same protocol over delta
+//! files.
 //!
 //! A plan is also the one persisted form of sweep progress: a checkpoint
 //! is the sweep's plan with every point's baseline set to its committed
 //! tally ([`Coordinator::checkpoint`](super::coordinator::Coordinator::checkpoint)),
-//! saved with [`ShardPlan::save`].  `SweepRunner --checkpoint`,
-//! `q3de-sweepctl serve --checkpoint` and `merge --checkpoint` all write
-//! it; a single-process `--resume` and `q3de-sweepctl resume` both read
+//! saved with [`ShardPlan::save`].  `SweepRunner --checkpoint` and
+//! `q3de-sweepctl merge --checkpoint` both write it; a single-process `--resume` and `q3de-sweepctl resume` both read
 //! its baselines.
 
 use std::path::Path;
@@ -41,7 +40,7 @@ use super::{EngineError, SweepConfig, SweepPoint};
 
 /// Schema version of plan, shard and delta documents.  Folded into
 /// [`ShardPlan::fingerprint`], so a worker built against a different major
-/// is refused at hello/merge time instead of silently mis-merging.
+/// is refused at merge time instead of silently mis-merging.
 pub const PLAN_SCHEMA_VERSION: u64 = 1;
 
 /// One point of a [`ShardPlan`]: its stable id plus the tally baseline the
@@ -418,8 +417,7 @@ pub struct TallyDelta {
 }
 
 impl TallyDelta {
-    /// The delta as a JSON document (one line of a shard file or one TCP
-    /// frame payload).
+    /// The delta as a JSON document (one entry of a shard's delta file).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
             (
@@ -503,7 +501,7 @@ pub enum EpochGate {
 /// Where a shard worker sends its deltas (and asks whether blocks are
 /// runnable).  In-process sinks wrap the
 /// [`Coordinator`](super::coordinator::Coordinator) behind a mutex; the
-/// fabric binaries implement file- and TCP-backed sinks.
+/// fabric binaries implement a file-backed sink.
 pub trait DeltaSink {
     /// Submits one delta.  Submission is idempotent: a re-sent committed
     /// delta (after a worker restart) is verified and ignored.
@@ -515,7 +513,7 @@ pub trait DeltaSink {
     fn submit(&mut self, delta: TallyDelta) -> Result<(), EngineError>;
 
     /// Whether `(point, epoch)` may run yet.  Sinks without live
-    /// coordinator feedback (the file transport) always answer
+    /// coordinator feedback (the fabric's delta files) always answer
     /// [`EpochGate::Run`]; the sweep still merges bit-identically, the
     /// worker just cannot stop early on adaptive convergence.
     ///
